@@ -72,6 +72,12 @@ def _int_value(value):
     return int(value)
 
 
+def _bool_value(value):
+    if not isinstance(value, bool):
+        raise ConfigError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _load_config(path, known: dict) -> dict:
     """Merge a JSON config over defaults, rejecting unknown keys."""
     data = {}
@@ -137,13 +143,13 @@ _SEPARATION_KEYS = {
     "outer_iters": (50, _int_value),
     "mu": (100.0, _float_value),
     "gamma": (10.0, _float_value),
-    "max_iter": (50, _int_value),
+    "max_iter": (SinkhornParams.max_iter, _int_value),
     "tol": (1e-6, _float_value),
     "window_len": (1024, _int_value),
     "hop": (256, _int_value),
     "ref_mic": (0, _int_value),
     "kron_dims": (None, lambda v: tuple(_int_value(d) for d in v)),
-    "verbatim_updates": (False, bool),
+    "verbatim_updates": (False, _bool_value),
     "seed": (0, _int_value),
 }
 
@@ -158,7 +164,7 @@ _PLAN_KEYS = {
     "outer_iters": (50, _int_value),
     "mu": (100.0, _float_value),
     "gamma": (10.0, _float_value),
-    "max_iter": (50, _int_value),
+    "max_iter": (SinkhornParams.max_iter, _int_value),
     "tol": (1e-6, _float_value),
     "window_len": (1024, _int_value),
     "hop": (256, _int_value),
@@ -222,6 +228,7 @@ def _separation_config(cfg: dict) -> SeparationConfig:
             ref_mic=cfg["ref_mic"],
             seed=cfg["seed"],
             stft=StftConfig(window_len=cfg["window_len"], hop=cfg["hop"]),
+            verbatim_updates=cfg["verbatim_updates"],
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err

@@ -7,7 +7,9 @@ to per-frame optimal-transport marginals between the demixed power and
 the modeled variance, which couples frequency bins through the
 transport cost. The transport marginals come from a dense Gibbs kernel
 or from a Kronecker-factorized kernel that never materializes the
-F x F plan.
+F x F plan. They are not converged: each outer iteration's solve is
+warm-started from the previous one and truncated after ``max_iter``
+translation-invariant (TI) scaling steps.
 """
 
 from __future__ import annotations
@@ -279,12 +281,28 @@ def sd_update_source_model(
 
 
 class FrameMarginals(NamedTuple):
-    """Converged per-frame transport marginals and their log scalings."""
+    """Per-frame transport marginals and their log scalings.
+
+    The scalings are warm-started, truncated after ``max_iter`` TI
+    steps; the marginals are those of the plan they define.
+    """
 
     row: np.ndarray
     col: np.ndarray
     log_u: np.ndarray
     log_v: np.ndarray
+
+
+def _apply(kernel, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    if hasattr(kernel, "apply"):
+        return kernel.apply_adjoint(x) if adjoint else kernel.apply(x)
+    return kernel.T @ x if adjoint else kernel @ x
+
+
+def _peak_exp(log_x: np.ndarray):
+    """exp(log_x) per column as unit-peak values times exp(peak)."""
+    peak = np.max(log_x, axis=0)
+    return np.exp(log_x - peak), peak
 
 
 def _log_apply(kernel, log_x: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -295,14 +313,9 @@ def _log_apply(kernel, log_x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     magnitudes. Kernel entries are bounded below by exp(-mu*max(C)-1),
     which keeps the product of a unit-peak column away from zero.
     """
-    shift = np.max(log_x, axis=0)
-    scaled = np.exp(log_x - shift)
-    if hasattr(kernel, "apply"):
-        applied = kernel.apply_adjoint(scaled) if adjoint else kernel.apply(scaled)
-    else:
-        applied = kernel.T @ scaled if adjoint else kernel @ scaled
+    scaled, peak = _peak_exp(log_x)
     tiny = np.finfo(np.float64).tiny
-    return np.log(np.maximum(applied, tiny)) + shift
+    return np.log(np.maximum(_apply(kernel, scaled, adjoint), tiny)) + peak
 
 
 def compute_frame_marginals(
@@ -314,13 +327,23 @@ def compute_frame_marginals(
 ) -> FrameMarginals:
     """Transport marginals between demixed power and modeled variance.
 
-    Runs the relaxed scaling iteration for all frames at once in log
-    form: u <- (a / Gv)^phi and v <- (b / G'u)^phi become additive
-    updates on log u and log v. At large gamma*mu the converged
-    scalings grow like exp(gamma*mu/2 * log(mass ratio)) per frame,
-    far outside double range, so the logs are the only representation
-    that survives warm starts accumulated across outer iterations.
-    ``init`` resumes from a previous call's scalings.
+    Runs the translation-invariant (TI) scaling iteration of Sejourne,
+    Vialard and Peyre (AISTATS 2022) for all frames at once in log
+    form: u <- (a / Gv)^phi, then every frame's log u is shifted by the
+    translation that maximizes the dual objective,
+
+        s = (gamma*mu/2) (log sum_i a_i u_i^(-1/(gamma*mu))
+                          - log sum_j b_j v_j^(-1/(gamma*mu))),
+
+    then v <- (b / G'u)^phi. Right after each update the two sums
+    are the row and column mass of the current plan, so the shift
+    reuses the kernel products and unit-peak exponentials the updates
+    form anyway. At large gamma*mu the scalings grow like
+    exp(gamma*mu/2 * log(mass ratio)) per frame, far outside double
+    range, so only the logs are kept. The result is warm-started from
+    ``init`` (a previous call's scalings) and truncated after
+    ``max_iter`` TI steps, or earlier once no log scaling moves by
+    ``tol``.
     """
     a = np.maximum(np.asarray(power, dtype=np.float64), params.eps_floor)
     b = np.maximum(np.asarray(variances, dtype=np.float64), params.eps_floor)
@@ -329,20 +352,33 @@ def compute_frame_marginals(
     log_a = np.log(a)
     log_b = np.log(b)
     phi = params.marginal_exponent
+    gm = params.gamma * params.mu
+    tiny = np.finfo(np.float64).tiny
     if init is None:
         log_u = np.zeros_like(log_a)
         log_v = np.zeros_like(log_b)
     else:
         log_u = np.asarray(init.log_u, dtype=np.float64)
         log_v = np.asarray(init.log_v, dtype=np.float64)
+    exp_v, peak_v = _peak_exp(log_v)
+    # a warm start's v belongs to the previous b: form its sum directly
+    terms_b, peak_b = _peak_exp(log_b - log_v / gm)
+    log_mass_b = np.log(np.sum(terms_b, axis=0)) + peak_b
     for it in range(params.max_iter):
-        log_gv = _log_apply(kernel, log_v)
-        new_u = phi * (log_a - log_gv)
-        log_gu = _log_apply(kernel, new_u, adjoint=True)
-        new_v = phi * (log_b - log_gu)
-        delta = max(
-            float(np.max(np.abs(new_u - log_u), initial=0.0)),
-            float(np.max(np.abs(new_v - log_v), initial=0.0)),
+        gv = np.maximum(_apply(kernel, exp_v), tiny)
+        new_u = phi * (log_a - np.log(gv) - peak_v)
+        exp_u, peak_u = _peak_exp(new_u)
+        log_mass_a = np.log(np.sum(exp_u * gv, axis=0)) + peak_u + peak_v
+        shift = 0.5 * gm * (log_mass_a - log_mass_b)
+        new_u += shift
+        peak_u += shift
+        gu = np.maximum(_apply(kernel, exp_u, adjoint=True), tiny)
+        new_v = phi * (log_b - np.log(gu) - peak_u)
+        exp_v, peak_v = _peak_exp(new_v)
+        log_mass_b = np.log(np.sum(exp_v * gu, axis=0)) + peak_v + peak_u
+        delta = np.maximum(
+            np.max(np.abs(new_u - log_u), initial=0.0),
+            np.max(np.abs(new_v - log_v), initial=0.0),
         )
         log_u, log_v = new_u, new_v
         if not np.isfinite(delta):
@@ -502,53 +538,45 @@ def run_sdilrma(
     """SDILRMA: variance models fitted to transport marginals.
 
     Each outer iteration solves one relaxed transport problem per
-    (source, frame) between |y_n|^2 and the modeled variance (warm
-    started from the previous iteration), feeds the row marginals to
-    the multiplicative model update, then proceeds as ILRMA. The trace
-    records the summed transport objective.
+    (source, frame) between |y_n|^2 and the modeled variance, all
+    sources side by side in one batched solve over the shared kernel
+    (warm started from the previous iteration), feeds the row
+    marginals to the multiplicative model update, then proceeds as
+    ILRMA. The trace records the summed transport objective.
     """
     if cfg.method == "ilrma":
         raise ValueError("run_sdilrma needs an sdilrma-dense or sdilrma-kron config")
     data, demixing, estimates, models = _prepare(mixture, cfg, n_sources)
-    n_src = estimates.shape[0]
+    n_src, _, n_frames = estimates.shape
     params = cfg.sinkhorn
     kernel = _sd_kernel(data.shape[1], cfg)
-    caches = [None] * n_src
-    phi = params.marginal_exponent
+    cache = None
     trace = []
     for it in range(cfg.outer_iters):
-        power = np.abs(estimates) ** 2
-        objective = 0.0
-        for n in range(n_src):
-            lam = variance(models[n])
-            try:
-                marg = compute_frame_marginals(
-                    power[n], lam, kernel, params, init=caches[n]
-                )
-            except SinkhornNumericError as err:
-                raise SinkhornNumericError(
-                    f"marginal computation failed for source {n}: {err}",
-                    iteration=err.iteration,
-                    context=(n, err.context),
-                ) from err
-            caches[n] = marg
-            objective += _transport_objective(marg, power[n], lam, params)
-            models[n] = sd_update_source_model(models[n], marg.row, cfg.verbatim_updates)
+        # sources side by side: column n*T + t is frame t of source n
+        power = np.hstack(np.abs(estimates) ** 2)
+        lam = np.hstack([variance(m) for m in models])
+        try:
+            cache = compute_frame_marginals(power, lam, kernel, params, init=cache)
+        except SinkhornNumericError as err:
+            where = None if err.context is None else divmod(err.context, n_frames)
+            raise SinkhornNumericError(
+                f"marginal computation failed at (source, frame) {where}: {err}",
+                iteration=err.iteration,
+                context=where,
+            ) from err
+        objective = _transport_objective(cache, power, lam, params)
+        rows = np.hsplit(cache.row, n_src)
+        models = [
+            sd_update_source_model(models[n], rows[n], cfg.verbatim_updates)
+            for n in range(n_src)
+        ]
         lam = np.stack([variance(m) for m in models])
         demixing = ip_update(demixing, data, lam)
         estimates = _demix(demixing, data)
         source_power = np.mean(np.abs(estimates) ** 2, axis=(1, 2))
         demixing, models, estimates = normalize(demixing, models, estimates)
         _assert_nonsingular(demixing)
-        for n in range(n_src):
-            # keep warm starts consistent with the rescaled problem:
-            # scaling both marginals by s shifts the fixed-point logs
-            # by phi/(1+phi) * log(s)
-            if source_power[n] > 0:
-                shift = -(phi / (1.0 + phi)) * np.log(source_power[n])
-                caches[n] = caches[n]._replace(
-                    log_u=caches[n].log_u + shift, log_v=caches[n].log_v + shift
-                )
         trace.append(IterationRecord(it + 1, objective, tuple(source_power.tolist())))
     return _finish(mixture, cfg, demixing, estimates, trace)
 

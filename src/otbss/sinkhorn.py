@@ -20,6 +20,11 @@ All loops run columnwise-batched: ``a``, ``b`` may be (F,) vectors or
 (F, T) matrices of per-frame problems sharing one kernel. The kernel may
 be a dense array or any object exposing ``apply``/``apply_adjoint``
 (used for the factorized fast path).
+
+``sinkhorn_scalings`` runs this plain iteration until ``tol``. The
+separation engine instead runs its translation-invariant (TI) variant
+(``engine.compute_frame_marginals``), warm-started and truncated after
+``max_iter`` TI steps, so its marginals are not converged.
 """
 
 from __future__ import annotations
@@ -46,11 +51,13 @@ class SinkhornParams:
 
     ``mu`` is the entropic strength, ``gamma`` the weight of the
     marginal KL relaxation (one multiplier for both marginals).
+    ``max_iter`` is the engine's truncation budget in TI steps, picked
+    by a sweep of separation quality and time on a reference scene.
     """
 
     mu: float = 100.0
     gamma: float = 10.0
-    max_iter: int = 50
+    max_iter: int = 10
     tol: float = 1e-6
     eps_floor: float = EPS_FLOOR
 

@@ -211,6 +211,7 @@ def test_05_oracle_variances_drive_demixing_home():
     )
 
 
+@pytest.mark.slow
 def test_06_end_to_end_separation_quality():
     start = time.perf_counter()
     stft_cfg = StftConfig(window_len=1024, hop=256)
@@ -241,6 +242,7 @@ def test_06_end_to_end_separation_quality():
     )
 
 
+@pytest.mark.slow
 def test_07_transport_method_keeps_pace_on_the_grid(tmp_path):
     start = time.perf_counter()
     plan = tmp_path / "plan.json"

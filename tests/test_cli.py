@@ -177,6 +177,26 @@ class TestSeparate:
         code = main(["separate", str(sim_dir / "src_0.wav"), "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
 
+    def test_verbatim_updates_reach_the_separation(self, sim_dir, tmp_path):
+        images = []
+        for flag in (True, False):
+            cfg = _write_json(
+                tmp_path / f"sep-{flag}.json",
+                {"schema": 1, "method": "sdilrma-kron", "outer_iters": 3, "window_len": 256,
+                 "hop": 64, "verbatim_updates": flag},
+            )
+            out = tmp_path / f"out-{flag}"
+            assert main(["separate", str(sim_dir / "mixture.wav"), "--config", cfg, "--out", str(out)]) == EXIT_OK
+            assert json.loads((out / "config.json").read_text())["verbatim_updates"] is flag
+            images.append((out / "est_0.wav").read_bytes())
+        assert images[0] != images[1]
+
+    def test_string_boolean_rejected(self, sim_dir, tmp_path, capsys):
+        cfg = _write_json(tmp_path / "sep.json", {"schema": 1, "verbatim_updates": "false"})
+        code = main(["separate", str(sim_dir / "mixture.wav"), "--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert "verbatim_updates" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_references_score_at_the_clamp(self, sim_dir, tmp_path):

@@ -7,10 +7,13 @@ the transport marginals, and objective values recomputed with explicit
 loops inside the tests.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otbss.audio import Spectrogram, StftConfig, TimeSignal, stft
 from otbss.engine import (
@@ -339,6 +342,100 @@ class TestComputeFrameMarginals:
                 np.ones((4, 3)), np.ones((5, 3)), gibbs_kernel(build_cost_sq(4), 100.0), SinkhornParams()
             )
 
+    @pytest.mark.parametrize(
+        "backend, gamma",
+        [("kron", 2.0), ("dense", 1e6), ("kron", 1e6)],
+        ids=["kron-relaxed", "dense-balanced", "kron-balanced"],
+    )
+    def test_ti_reaches_plain_fixed_point(self, backend, gamma):
+        # the dense relaxed case is test_matches_linear_fixed_point;
+        # gamma = 1e6 with equal masses is the balanced limit, where the
+        # slowest frame here needs about 5000 sweeps of either iteration
+        balanced = gamma > 1e3
+        rng = np.random.default_rng(17)
+        a = rng.uniform(0.5, 2.0, size=(12, 3))
+        b = rng.uniform(0.5, 2.0, size=(12, 3))
+        if balanced:
+            b *= a.sum(axis=0) / b.sum(axis=0)
+        mu = 100.0 if balanced else 4.0
+        cost = kron_sum_cost((4, 3))
+        dense = gibbs_kernel(materialize_kron_sum(cost), mu)
+        kernel = factorized_kernel(cost, mu) if backend == "kron" else dense
+        params = SinkhornParams(mu=mu, gamma=gamma, max_iter=5000, tol=1e-14)
+        u, v = sinkhorn_scalings(a, b, kernel, params)
+        marg = compute_frame_marginals(a, b, kernel, params)
+        rtol = 1e-7 if balanced else 1e-10
+        np.testing.assert_allclose(marg.row, u * (dense @ v), rtol=rtol)
+        np.testing.assert_allclose(marg.col, v * (dense.T @ u), rtol=rtol)
+
+    @pytest.mark.parametrize("backend", ["dense", "kron"])
+    def test_batched_sources_match_per_source_solves(self, backend):
+        # at the default truncated budget, from a warm start, as
+        # run_sdilrma calls it: frames are independent columns
+        rng = np.random.default_rng(18)
+        power = rng.uniform(0.1, 3.0, size=(2, 12, 4))
+        lam = rng.uniform(0.1, 3.0, size=(2, 12, 4))
+        params = SinkhornParams()
+        cost = kron_sum_cost((4, 3))
+        if backend == "kron":
+            kernel = factorized_kernel(cost, params.mu)
+        else:
+            kernel = gibbs_kernel(materialize_kron_sum(cost), params.mu)
+        init = compute_frame_marginals(np.hstack(0.5 * power), np.hstack(lam), kernel, params)
+        batched = compute_frame_marginals(np.hstack(power), np.hstack(lam), kernel, params, init=init)
+        for n, cols in enumerate((slice(0, 4), slice(4, 8))):
+            warm = FrameMarginals(*(x[:, cols] for x in init))
+            alone = compute_frame_marginals(power[n], lam[n], kernel, params, init=warm)
+            for got, want in zip(batched, alone):
+                np.testing.assert_allclose(got[:, cols], want, rtol=1e-12, atol=1e-12)
+
+
+def _translation_dual(log_u, log_v, a, b, params):
+    """Dual objective of one frame, less its translation-invariant term.
+
+    The full dual is -gamma <a, exp(-log u/(gamma mu)) - 1>
+    - gamma <b, exp(-log v/(gamma mu)) - 1> - (1/mu) sum u*(Gv); the
+    last term is unchanged by (log u + s, log v - s).
+    """
+    gm = params.gamma * params.mu
+    return -params.gamma * (
+        np.sum(a * np.expm1(-log_u / gm)) + np.sum(b * np.expm1(-log_v / gm))
+    )
+
+
+class TestTranslationInvariantStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mu=st.floats(1.0, 200.0),
+        gamma=st.floats(0.1, 100.0),
+        mass_ratio=st.floats(0.01, 100.0),
+    )
+    def test_shift_never_decreases_the_dual(self, seed, mu, gamma, mass_ratio):
+        # one TI step from a drawn (log u, log v): the u-update is
+        # recomputed here, so the solver's log u minus it is the shift
+        rng = np.random.default_rng(seed)
+        n_bins = 5
+        a = rng.uniform(1e-3, 10.0, n_bins)
+        b = mass_ratio * rng.uniform(1e-3, 10.0, n_bins)
+        log_v = rng.uniform(-5.0, 5.0, n_bins)
+        params = SinkhornParams(mu=mu, gamma=gamma, max_iter=1)
+        kernel = gibbs_kernel(build_cost_sq(n_bins), mu)
+        init = FrameMarginals(None, None, rng.uniform(-5.0, 5.0, (n_bins, 1)), log_v[:, None])
+        stepped = compute_frame_marginals(a[:, None], b[:, None], kernel, params, init=init)
+        log_u = stepped.log_u[:, 0]
+        plain_u = params.marginal_exponent * (np.log(a) - np.log(kernel @ np.exp(log_v)))
+        shift = log_u - plain_u
+        assert np.ptp(shift) <= 1e-9 * (1.0 + np.max(np.abs(shift)))
+        before = _translation_dual(plain_u, log_v, a, b, params)
+        after = _translation_dual(log_u, log_v - shift[0], a, b, params)
+        assert after >= before - 1e-9 * (1.0 + abs(before))
+        # and it is the best translation: the dual's slope along it is 0
+        gm = params.gamma * params.mu
+        np.testing.assert_allclose(
+            np.sum(a * np.exp(-log_u / gm)), np.sum(b * np.exp(-(log_v - shift[0]) / gm)), rtol=1e-9
+        )
+
 
 class TestBackProject:
     def test_images_partition_reference_channel(self):
@@ -509,6 +606,18 @@ class TestRunSdilrma:
         result = run_sdilrma(mixture, cfg)
         assert np.all(np.isfinite(result.estimates.data))
         assert all(np.isfinite(r.objective) for r in result.trace)
+
+    @pytest.mark.parametrize("channel", [0, 1])
+    def test_non_finite_frame_names_source_and_frame(self, channel):
+        # estimates start as the mixture, so channel n feeds source n
+        mixture, _, _ = _speech_scene(duration=0.3)
+        data = mixture.data.copy()
+        data[channel, :, 3] = np.nan
+        cfg = SeparationConfig(method="sdilrma-kron", outer_iters=1)
+        with np.errstate(invalid="ignore"), pytest.raises(SinkhornNumericError) as excinfo:
+            run_sdilrma(dataclasses.replace(mixture, data=data), cfg)
+        assert excinfo.value.iteration == 0
+        assert excinfo.value.context == (channel, 3)
 
     def test_images_partition_mixture(self):
         mixture, _, _ = _speech_scene(duration=0.5)

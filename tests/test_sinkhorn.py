@@ -101,7 +101,7 @@ class TestParams:
         p = SinkhornParams()
         assert p.mu == 100.0
         assert p.gamma == 10.0
-        assert p.max_iter == 50
+        assert p.max_iter == 10
         assert p.tol == 1e-6
 
     def test_marginal_exponent(self):
