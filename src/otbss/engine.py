@@ -131,29 +131,64 @@ def _like(spec: Spectrogram, data: np.ndarray) -> Spectrogram:
     )
 
 
-def _solve_projection_row(system: np.ndarray, cov: np.ndarray, n: int, f: int) -> np.ndarray:
-    """Solve (D_f V) d = e_n robustly and normalize d^H V d = 1."""
-    m = system.shape[0]
-    e = np.zeros(m, dtype=np.complex128)
-    e[n] = 1.0
-    for attempt in (0, 1):
-        try:
-            d = np.linalg.solve(system, e)
-        except np.linalg.LinAlgError:
-            d = None
-        if d is not None and np.all(np.isfinite(d)):
-            quad = float(np.real(np.conj(d) @ cov @ d))
-            if np.isfinite(quad) and quad > 0:
-                return d / np.sqrt(quad)
-        if attempt == 0:
-            tr = float(np.abs(np.trace(system)))
-            delta = DET_REG * (tr / m if tr > 0 else 1.0)
-            system = system + delta * np.eye(m)
-    raise DemixingNumericError(
-        f"projection system stayed singular at source {n}, frequency {f}",
-        source=n,
-        freq=f,
-    )
+def _weighted_covariances(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """V[f, n] = (1/T) sum_t weights_{n,f,t} x_{f,t} x_{f,t}^H for every source.
+
+    Re x_m conj(x_p) (m <= p) and Im x_m conj(x_p) (m < p) are written
+    in place as real planes, since fresh full-size temporaries cost more
+    than the arithmetic, then one real batched matmul weights them. The
+    same real arithmetic in every plane keeps V exactly Hermitian and
+    exactly singular for equal channels.
+    """
+    n_chan, n_bins, n_frames = data.shape
+    re, im = data.real, data.imag
+    i, j = np.triu_indices(n_chan)
+    off = np.flatnonzero(i < j)
+    planes = np.empty((i.size + off.size, n_bins, n_frames))
+    tmp = np.empty((n_bins, n_frames))
+    for k, (m, p) in enumerate(zip(i, j)):
+        np.multiply(re[m], re[p], out=planes[k])
+        planes[k] += np.multiply(im[m], im[p], out=tmp)
+    for k, (m, p) in enumerate(zip(i[off], j[off]), start=i.size):
+        np.multiply(im[m], re[p], out=planes[k])
+        planes[k] -= np.multiply(re[m], im[p], out=tmp)
+    sums = np.matmul(weights.transpose(1, 0, 2), planes.transpose(1, 2, 0)) / n_frames
+    upper = sums[..., : i.size].astype(np.complex128)
+    upper[..., off] += 1j * sums[..., i.size :]
+    cov = np.empty((n_bins, weights.shape[0], n_chan, n_chan), dtype=np.complex128)
+    cov[..., j, i] = upper.conj()
+    cov[..., i, j] = upper
+    return cov
+
+
+def _projection_rows(system, cov, n: int, bins: np.ndarray, retry: bool = True):
+    """Solve (D_f V) d = e_n in every bin and scale d to d^H V d = 1.
+
+    Failing bins are retried once with a diagonal load (see ip_update);
+    ``bins`` maps batch rows to the frequencies an error reports.
+    """
+    n_bins, m, _ = system.shape
+    e = np.broadcast_to(np.eye(m)[:, [n]], (n_bins, m, 1))
+    try:
+        d = np.linalg.solve(system, e)[..., 0]
+    except np.linalg.LinAlgError:
+        # one exactly singular bin fails the whole batch: solve the rest
+        d = np.full((n_bins, m), np.nan, dtype=np.complex128)
+        ok = np.linalg.slogdet(system)[0] != 0
+        d[ok] = np.linalg.solve(system[ok], e[ok])[..., 0]
+    # V d first: a loaded solve can be huge along a null direction of V
+    quad = np.einsum("fm,fm->f", d.conj(), np.einsum("fmp,fp->fm", cov, d)).real
+    bad = ~(np.all(np.isfinite(d), axis=1) & np.isfinite(quad) & (quad > 0))
+    d /= np.sqrt(np.where(bad, 1.0, quad))[:, None]
+    if np.any(bad):
+        if not retry:
+            f = int(bins[bad][0])
+            msg = f"projection system stayed singular at source {n}, frequency {f}"
+            raise DemixingNumericError(msg, source=n, freq=f)
+        tr = np.abs(np.trace(system[bad], axis1=1, axis2=2))[:, None, None]
+        loaded = system[bad] + DET_REG * np.where(tr > 0, tr / m, 1.0) * np.eye(m)
+        d[bad] = _projection_rows(loaded, cov[bad], n, bins[bad], retry=False)
+    return d
 
 
 def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray) -> np.ndarray:
@@ -163,8 +198,10 @@ def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray) -> np.ndarra
     V = (1/T) sum_t x x^H / lambda_{n,f,t} is formed, (D_f V) d = e_n
     is solved, and row n of D_f becomes d^H with d scaled so that
     d^H V d = 1. Rows are updated in sequence, so later sources see the
-    rows already replaced. Singular systems are retried once with a
-    trace-scaled diagonal load before giving up.
+    rows already replaced; all frequencies are solved in one batch.
+    Only failing bins (singular system, or d^H V d not positive) get a
+    trace-scaled diagonal load, once; a bin that fails again raises
+    DemixingNumericError with its source and frequency.
     """
     data = _as_data(mixture)
     n_chan, n_bins, n_frames = data.shape
@@ -177,32 +214,9 @@ def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray) -> np.ndarra
     if n_src != n_chan:
         raise ValueError("iterative projection needs a square demixing system")
     out = demixing.astype(np.complex128, copy=True)
-    conj_data = data.conj()
+    cov = _weighted_covariances(data, np.divide(1.0, lam, out=lam))
     for n in range(n_src):
-        cov = np.einsum(
-            "ft,mft,pft->fmp", 1.0 / lam[n], data, conj_data, optimize=True
-        ) / n_frames
-        system = out @ cov
-        e = np.zeros(n_chan, dtype=np.complex128)
-        e[n] = 1.0
-        rows = None
-        try:
-            d = np.linalg.solve(system, np.broadcast_to(e[:, None], (n_bins, n_chan, 1)))[..., 0]
-            quad = np.real(np.einsum("fm,fmp,fp->f", d.conj(), cov, d, optimize=True))
-            good = np.all(np.isfinite(d), axis=1) & np.isfinite(quad) & (quad > 0)
-            if np.all(good):
-                rows = d / np.sqrt(quad)[:, None]
-        except np.linalg.LinAlgError:
-            good = np.zeros(n_bins, dtype=bool)
-        if rows is None:
-            rows = np.empty((n_bins, n_chan), dtype=np.complex128)
-            for f in range(n_bins):
-                if good[f]:
-                    d = np.linalg.solve(system[f], e)
-                    quad = float(np.real(np.conj(d) @ cov[f] @ d))
-                    rows[f] = d / np.sqrt(quad)
-                else:
-                    rows[f] = _solve_projection_row(system[f], cov[f], n, f)
+        rows = _projection_rows(out @ cov[:, n], cov[:, n], n, np.arange(n_bins))
         out[:, n, :] = rows.conj()
     return out
 
@@ -444,12 +458,6 @@ def back_project(estimates, demixing: np.ndarray, ref_mic: int):
     return images
 
 
-def _assert_nonsingular(demixing: np.ndarray):
-    sign, logdet = np.linalg.slogdet(demixing)
-    if np.any(sign == 0) or not np.all(np.isfinite(logdet)):
-        raise DemixingNumericError("demixing matrix became singular")
-
-
 def _prepare(mixture: Spectrogram, cfg: SeparationConfig, n_sources):
     data = _as_data(mixture)
     n_chan = data.shape[0]
@@ -461,6 +469,9 @@ def _prepare(mixture: Spectrogram, cfg: SeparationConfig, n_sources):
     if n_src < n_chan:
         warnings.warn(f"keeping the first {n_src} of {n_chan} channels")
         data = data[:n_src]
+    # (C, F, T) in C order: the demixing product and the IP covariances
+    # run several times slower on the strided view that stft returns
+    data = np.ascontiguousarray(data)
     if not 0 <= cfg.ref_mic < n_src:
         raise ValueError(f"ref_mic {cfg.ref_mic} out of range for {n_src} channels")
     if data.shape[2] < 2:
@@ -504,8 +515,8 @@ def run_ilrma(
         estimates = _demix(demixing, data)
         source_power = tuple(np.mean(np.abs(estimates) ** 2, axis=(1, 2)).tolist())
         demixing, models, estimates = normalize(demixing, models, estimates)
-        _assert_nonsingular(demixing)
         lam = np.stack([variance(m) for m in models])
+        # raises DemixingNumericError once a D_f is singular
         objective = ilrma_objective(np.abs(estimates) ** 2, lam, demixing)
         trace.append(IterationRecord(it + 1, objective, source_power))
     return _finish(mixture, cfg, demixing, estimates, trace)
@@ -576,7 +587,9 @@ def run_sdilrma(
         estimates = _demix(demixing, data)
         source_power = np.mean(np.abs(estimates) ** 2, axis=(1, 2))
         demixing, models, estimates = normalize(demixing, models, estimates)
-        _assert_nonsingular(demixing)
+        sign, logdet = np.linalg.slogdet(demixing)
+        if np.any(sign == 0) or not np.all(np.isfinite(logdet)):
+            raise DemixingNumericError("demixing matrix became singular")
         trace.append(IterationRecord(it + 1, objective, tuple(source_power.tolist())))
     return _finish(mixture, cfg, demixing, estimates, trace)
 

@@ -109,17 +109,3 @@ def is_update(model: NmfModel, power: np.ndarray) -> NmfModel:
 
     return NmfModel(basis=w, activation=h, floor=eps)
 
-
-def save_model(path, model: NmfModel) -> None:
-    """Serialize a model to an npz archive."""
-    np.savez(path, basis=model.basis, activation=model.activation, floor=model.floor)
-
-
-def load_model(path) -> NmfModel:
-    """Load a model written by save_model."""
-    with np.load(path) as data:
-        return NmfModel(
-            basis=data["basis"],
-            activation=data["activation"],
-            floor=float(data["floor"]),
-        )

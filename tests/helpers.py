@@ -32,3 +32,21 @@ def dft_one_sided(frame: np.ndarray) -> np.ndarray:
     return np.array(
         [np.sum(frame * np.exp(-2j * np.pi * f * n / L)) for f in range(L // 2 + 1)]
     )
+
+
+def reference_ip_update(demixing, data, variances) -> np.ndarray:
+    """One iterative-projection sweep, one np.linalg.solve per (source, bin).
+
+    V = (1/T) sum_t x x^H / lambda, (D_f V) d = e_n, row n of D_f
+    becomes d^H with d^H V d = 1; sources are updated in order.
+    """
+    data = np.asarray(data)
+    n_chan, n_bins, n_frames = data.shape
+    out = np.array(demixing, dtype=np.complex128)
+    for n in range(variances.shape[0]):
+        for f in range(n_bins):
+            x = data[:, f, :]
+            cov = (x / variances[n, f]) @ x.conj().T / n_frames
+            d = np.linalg.solve(out[f] @ cov, np.eye(n_chan)[n])
+            out[f, n] = d.conj() / np.sqrt(np.real(d.conj() @ cov @ d))
+    return out

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_ip_update
 from otbss.audio import Spectrogram, StftConfig, TimeSignal, stft
 from otbss.engine import (
     METHODS,
@@ -170,6 +171,44 @@ class TestIpUpdate:
     def test_rejects_rectangular_system(self):
         with pytest.raises(ValueError):
             ip_update(init_demixing(3, 2, 4), np.zeros((3, 4, 5), dtype=complex), np.ones((2, 4, 5)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_chan=st.sampled_from([1, 2, 3]),
+        n_bins=st.integers(1, 12),
+        extra_frames=st.integers(0, 30),
+    )
+    def test_matches_per_bin_reference(self, seed, n_chan, n_bins, extra_frames):
+        rng = np.random.default_rng(seed)
+        n_frames = 2 * n_chan + extra_frames
+        x = _random_spectrogram(rng, n_chan, n_bins, n_frames)
+        lam = rng.uniform(0.1, 2.0, size=(n_chan, n_bins, n_frames))
+        d = np.eye(n_chan) + 0.3 * _random_spectrogram(rng, n_bins, n_chan, n_chan)
+        expected = reference_ip_update(d, x, lam)
+        got = ip_update(d, x, lam)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_all_zero_bin_gives_up_with_its_location(self):
+        rng = np.random.default_rng(5)
+        x = _random_spectrogram(rng, 2, 6, 8)
+        x[:, 4] = 0.0
+        with pytest.raises(DemixingNumericError) as info:
+            ip_update(init_demixing(2, 2, 6), x, np.ones((2, 6, 8)))
+        assert (info.value.source, info.value.freq) == (0, 4)
+
+    def test_only_the_failing_bin_is_loaded(self):
+        # equal channels make bin 3 exactly singular; the other bins must
+        # come out bit for bit as if bin 3 were not there
+        rng = np.random.default_rng(6)
+        x = _random_spectrogram(rng, 2, 7, 9)
+        x[1, 3] = x[0, 3]
+        lam = rng.uniform(0.5, 2.0, size=(2, 7, 9))
+        d = ip_update(init_demixing(2, 2, 7), x, lam)
+        keep = np.arange(7) != 3
+        alone = ip_update(init_demixing(2, 2, 6), x[:, keep], lam[:, keep])
+        np.testing.assert_array_equal(d[keep], alone)
+        assert np.all(np.isfinite(d[3]))
 
 
 class TestNormalize:
@@ -546,6 +585,20 @@ class TestRunIlrma:
         )
         result = run_ilrma(mono, SeparationConfig(method="ilrma", outer_iters=2))
         assert result.estimates.data.shape == mono.data.shape
+
+    @pytest.mark.parametrize("method", ["ilrma", "sdilrma-kron"])
+    def test_memory_layout_of_the_mixture_does_not_matter(self, method):
+        # stft returns a transposed view; hand-built spectrograms may be
+        # C- or Fortran-ordered
+        mixture, _, _ = _speech_scene(duration=0.3)
+        assert not mixture.data.flags["C_CONTIGUOUS"]
+        cfg = SeparationConfig(method=method, outer_iters=3, seed=3)
+        images = [
+            separate(dataclasses.replace(mixture, data=layout(mixture.data)), cfg).images.data
+            for layout in (np.ascontiguousarray, np.asfortranarray, lambda a: a)
+        ]
+        np.testing.assert_allclose(images[1], images[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(images[2], images[0], rtol=1e-12, atol=0)
 
     def test_deterministic_for_seed(self):
         mixture, _, _ = _speech_scene(duration=0.4)

@@ -9,8 +9,6 @@ from otbss.nmf import (
     init_nmf,
     is_divergence,
     is_update,
-    load_model,
-    save_model,
     variance,
 )
 
@@ -143,13 +141,3 @@ class TestIsUpdate:
         is_update(m, rng.uniform(0.5, 2, (6, 6)))
         np.testing.assert_array_equal(m.basis, w0)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        m = init_nmf(10, 12, 3, seed=11)
-        path = tmp_path / "model.npz"
-        save_model(path, m)
-        back = load_model(path)
-        np.testing.assert_array_equal(back.basis, m.basis)
-        np.testing.assert_array_equal(back.activation, m.activation)
-        assert back.floor == m.floor
