@@ -5,10 +5,11 @@ per-frequency demixing updates by iterative projection. Plain ILRMA
 fits each model to the demixed power spectra directly; SDILRMA fits it
 to per-frame optimal-transport marginals between the demixed power and
 the modeled variance, which couples frequency bins through the
-transport cost. The transport marginals come from a dense Gibbs kernel
-or from a Kronecker-factorized kernel that never materializes the
-F x F plan. They are not converged: each outer iteration's solve is
-warm-started from the previous one and truncated after ``max_iter``
+transport cost. The marginals come from the one transport solver,
+``sinkhorn.compute_frame_marginals``, over a dense Gibbs kernel or a
+Kronecker-factorized kernel that never materializes the F x F plan.
+They are not converged: each outer iteration's solve is warm-started
+from the previous one and truncated after ``max_iter``
 translation-invariant (TI) scaling steps.
 """
 
@@ -24,7 +25,14 @@ from .audio import Spectrogram, StftConfig
 from .errors import DemixingNumericError, FactorizationError, SinkhornNumericError
 from .kron import factorize_bins, factorized_kernel, kron_sum_cost, materialize_kron_sum
 from .nmf import EPS, NmfModel, init_nmf, is_update, variance
-from .sinkhorn import SinkhornParams, build_cost_sq, gibbs_kernel, kl_mass
+from .sinkhorn import (
+    FrameMarginals,
+    SinkhornParams,
+    build_cost_sq,
+    compute_frame_marginals,
+    gibbs_kernel,
+    kl_mass,
+)
 
 METHODS = ("ilrma", "sdilrma-dense", "sdilrma-kron")
 DET_REG = 1e-8
@@ -292,124 +300,6 @@ def sd_update_source_model(
     den_h = np.maximum(np.sum(marg / lam, axis=0, keepdims=True), floor)
     act = act * np.sqrt((np.maximum(basis, floor).T @ (marg / lam**2)) / den_h)
     return NmfModel(basis, act, floor)
-
-
-class FrameMarginals(NamedTuple):
-    """Per-frame transport marginals and their log scalings.
-
-    The scalings are warm-started, truncated after ``max_iter`` TI
-    steps; the marginals are those of the plan they define.
-    """
-
-    row: np.ndarray
-    col: np.ndarray
-    log_u: np.ndarray
-    log_v: np.ndarray
-
-
-def _apply(kernel, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    if hasattr(kernel, "apply"):
-        return kernel.apply_adjoint(x) if adjoint else kernel.apply(x)
-    return kernel.T @ x if adjoint else kernel @ x
-
-
-def _peak_exp(log_x: np.ndarray):
-    """exp(log_x) per column as unit-peak values times exp(peak)."""
-    peak = np.max(log_x, axis=0)
-    return np.exp(log_x - peak), peak
-
-
-def _log_apply(kernel, log_x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """log(G exp(log_x)) per column, stable under huge log offsets.
-
-    Each column is shifted to peak at 1 before the linear kernel
-    product, so only the per-frame scalar offsets ever carry the large
-    magnitudes. Kernel entries are bounded below by exp(-mu*max(C)-1),
-    which keeps the product of a unit-peak column away from zero.
-    """
-    scaled, peak = _peak_exp(log_x)
-    tiny = np.finfo(np.float64).tiny
-    return np.log(np.maximum(_apply(kernel, scaled, adjoint), tiny)) + peak
-
-
-def compute_frame_marginals(
-    power: np.ndarray,
-    variances: np.ndarray,
-    kernel,
-    params: SinkhornParams,
-    init: FrameMarginals = None,
-) -> FrameMarginals:
-    """Transport marginals between demixed power and modeled variance.
-
-    Runs the translation-invariant (TI) scaling iteration of Sejourne,
-    Vialard and Peyre (AISTATS 2022) for all frames at once in log
-    form: u <- (a / Gv)^phi, then every frame's log u is shifted by the
-    translation that maximizes the dual objective,
-
-        s = (gamma*mu/2) (log sum_i a_i u_i^(-1/(gamma*mu))
-                          - log sum_j b_j v_j^(-1/(gamma*mu))),
-
-    then v <- (b / G'u)^phi. Right after each update the two sums
-    are the row and column mass of the current plan, so the shift
-    reuses the kernel products and unit-peak exponentials the updates
-    form anyway. At large gamma*mu the scalings grow like
-    exp(gamma*mu/2 * log(mass ratio)) per frame, far outside double
-    range, so only the logs are kept. The result is warm-started from
-    ``init`` (a previous call's scalings) and truncated after
-    ``max_iter`` TI steps, or earlier once no log scaling moves by
-    ``tol``.
-    """
-    a = np.maximum(np.asarray(power, dtype=np.float64), params.eps_floor)
-    b = np.maximum(np.asarray(variances, dtype=np.float64), params.eps_floor)
-    if a.shape != b.shape:
-        raise ValueError("power and variance shapes differ")
-    log_a = np.log(a)
-    log_b = np.log(b)
-    phi = params.marginal_exponent
-    gm = params.gamma * params.mu
-    tiny = np.finfo(np.float64).tiny
-    if init is None:
-        log_u = np.zeros_like(log_a)
-        log_v = np.zeros_like(log_b)
-    else:
-        log_u = np.asarray(init.log_u, dtype=np.float64)
-        log_v = np.asarray(init.log_v, dtype=np.float64)
-    exp_v, peak_v = _peak_exp(log_v)
-    # a warm start's v belongs to the previous b: form its sum directly
-    terms_b, peak_b = _peak_exp(log_b - log_v / gm)
-    log_mass_b = np.log(np.sum(terms_b, axis=0)) + peak_b
-    for it in range(params.max_iter):
-        gv = np.maximum(_apply(kernel, exp_v), tiny)
-        new_u = phi * (log_a - np.log(gv) - peak_v)
-        exp_u, peak_u = _peak_exp(new_u)
-        log_mass_a = np.log(np.sum(exp_u * gv, axis=0)) + peak_u + peak_v
-        shift = 0.5 * gm * (log_mass_a - log_mass_b)
-        new_u += shift
-        peak_u += shift
-        gu = np.maximum(_apply(kernel, exp_u, adjoint=True), tiny)
-        new_v = phi * (log_b - np.log(gu) - peak_u)
-        exp_v, peak_v = _peak_exp(new_v)
-        log_mass_b = np.log(np.sum(exp_v * gu, axis=0)) + peak_v + peak_u
-        delta = np.maximum(
-            np.max(np.abs(new_u - log_u), initial=0.0),
-            np.max(np.abs(new_v - log_v), initial=0.0),
-        )
-        log_u, log_v = new_u, new_v
-        if not np.isfinite(delta):
-            bad = np.where(
-                ~(np.all(np.isfinite(log_u), axis=0) & np.all(np.isfinite(log_v), axis=0))
-            )[0]
-            frame = int(bad[0]) if bad.size else None
-            raise SinkhornNumericError(
-                "non-finite log scalings in marginal computation",
-                iteration=it,
-                context=frame,
-            )
-        if delta < params.tol:
-            break
-    row = np.exp(log_u + _log_apply(kernel, log_v))
-    col = np.exp(log_v + _log_apply(kernel, log_u, adjoint=True))
-    return FrameMarginals(row=row, col=col, log_u=log_u, log_v=log_v)
 
 
 def _transport_objective(

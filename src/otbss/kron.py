@@ -8,7 +8,8 @@ radix split of the bin index: writing the flat bin i with digits
 
 is a Kronecker sum of Q small tables, so its Gibbs kernel is a
 Kronecker product of Q small kernels and kernel-vector products reduce
-from F^2 to F * sum_q f_q multiply-adds via tensor mode products.
+from F^2 to F * sum_q f_q multiply-adds: one reshape and one batched
+matmul per factor.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, FactorizationError
-from .sinkhorn import build_cost_sq
 
 MATERIALIZE_MAX_BINS = 1024
 
@@ -124,35 +124,6 @@ def materialize_kron_sum(cost: KroneckerCost) -> np.ndarray:
     return total
 
 
-def fold(vec: np.ndarray, dims) -> np.ndarray:
-    """Reshape a length-F vector (or F x T matrix, columnwise) to dims."""
-    vec = np.asarray(vec)
-    n_bins = int(np.prod(dims))
-    if vec.shape[0] != n_bins:
-        raise ValueError(f"vector length {vec.shape[0]} does not match dims product {n_bins}")
-    if vec.ndim == 1:
-        return vec.reshape(dims)
-    if vec.ndim == 2:
-        return vec.reshape(tuple(dims) + (vec.shape[1],))
-    raise ValueError("fold expects a vector or a matrix of columns")
-
-
-def unfold(tensor: np.ndarray, dims) -> np.ndarray:
-    """Inverse of fold."""
-    n_bins = int(np.prod(dims))
-    if tensor.ndim == len(dims):
-        return tensor.reshape(n_bins)
-    if tensor.ndim == len(dims) + 1:
-        return tensor.reshape(n_bins, tensor.shape[-1])
-    raise ValueError("tensor order does not match dims")
-
-
-def _mode_apply(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Multiply mat into the given tensor mode."""
-    moved = np.tensordot(mat, tensor, axes=([1], [axis]))
-    return np.moveaxis(moved, 0, axis)
-
-
 @dataclass(frozen=True)
 class FactorizedKernel:
     """Gibbs kernel e^(-1) * (G_1 x ... x G_Q) held in factored form.
@@ -172,10 +143,18 @@ class FactorizedKernel:
         return int(np.prod(self.dims))
 
     def _apply_factors(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        folded = fold(x, self.dims)
-        for q, g in enumerate(self.kernels):
-            folded = _mode_apply(folded, g.T if transpose else g, q)
-        return self.scale * unfold(folded, self.dims)
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.n_bins:
+            raise ValueError(
+                f"expected a length-{self.n_bins} vector or ({self.n_bins}, T) matrix, got {x.shape}"
+            )
+        # mode q of the row-major digits: (lead, f_q, rest) with the
+        # batch of lead digit blocks multiplied by G_q in one matmul
+        y, lead = x, 1
+        for f_q, g in zip(self.dims, self.kernels):
+            y = np.matmul(g.T if transpose else g, y.reshape(lead, f_q, -1))
+            lead *= f_q
+        return self.scale * y.reshape(x.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._apply_factors(x, transpose=False)
@@ -205,18 +184,3 @@ def factorized_kernel(cost: KroneckerCost, mu: float) -> FactorizedKernel:
         raise ValueError("mu must be nonnegative")
     kernels = tuple(np.exp(-mu * c) for c in cost.factors)
     return FactorizedKernel(kernels=kernels, dims=cost.dims)
-
-
-def kron_kernel_apply(kernel: FactorizedKernel, vec: np.ndarray) -> np.ndarray:
-    """Matrix-free (e^(-1) G_1 x ... x G_Q) @ vec."""
-    return kernel.apply(vec)
-
-
-def kron_row_marginal(u: np.ndarray, kernel: FactorizedKernel, v: np.ndarray) -> np.ndarray:
-    """Row marginal u * (G v) of diag(u) G diag(v), plan never formed."""
-    return u * kernel.apply(v)
-
-
-def kron_col_marginal(u: np.ndarray, kernel: FactorizedKernel, v: np.ndarray) -> np.ndarray:
-    """Column marginal v * (G' u) of diag(u) G diag(v)."""
-    return v * kernel.apply_adjoint(u)

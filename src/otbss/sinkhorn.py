@@ -16,15 +16,12 @@ The exponent phi is the self-consistent solution of the optimality
 conditions written on the marginals (u = (a / P1)^(gamma*mu) with
 P1 = u * (G v)); solving for u yields u^(1+gamma*mu) = (a/(Gv))^(gamma*mu).
 
-All loops run columnwise-batched: ``a``, ``b`` may be (F,) vectors or
-(F, T) matrices of per-frame problems sharing one kernel. The kernel may
-be a dense array or any object exposing ``apply``/``apply_adjoint``
-(used for the factorized fast path).
-
-``sinkhorn_scalings`` runs this plain iteration until ``tol``. The
-separation engine instead runs its translation-invariant (TI) variant
-(``engine.compute_frame_marginals``), warm-started and truncated after
-``max_iter`` TI steps, so its marginals are not converged.
+``compute_frame_marginals`` is the one solver: the translation-invariant
+(TI) variant of that iteration, kept in log form, batched over the
+columns of (F, T) problems that share one kernel, warm-started and
+truncated after ``max_iter`` TI steps. Its marginals are those of the
+plan the truncated scalings define, not of the converged plan. The
+kernel is a dense array or a ``kron.FactorizedKernel``.
 """
 
 from __future__ import annotations
@@ -34,15 +31,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
-from .errors import CapabilityError, SinkhornNumericError
+from .errors import SinkhornNumericError
 
 EPS_FLOOR = 1e-30
-
-SCALE_LIMIT = 1e150  # switch to log-domain iterations beyond this
-
-DENSE_OBJECTIVE_MAX_BINS = 256
 
 
 @dataclass(frozen=True)
@@ -75,13 +67,6 @@ class SinkhornParams:
         return gm / (1.0 + gm)
 
 
-class Scalings(NamedTuple):
-    """Positive scaling vectors of the transport plan diag(u) G diag(v)."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-
 def build_cost_sq(n_bins: int) -> np.ndarray:
     """Squared normalized bin distance C_ij = ((i - j)/F)^2."""
     if n_bins < 1:
@@ -106,109 +91,6 @@ def gibbs_kernel(cost: np.ndarray, mu: float, eps_floor: float = EPS_FLOOR) -> n
     return kernel
 
 
-def _is_operator(kernel) -> bool:
-    return hasattr(kernel, "apply") and hasattr(kernel, "apply_adjoint")
-
-
-def _apply(kernel, x: np.ndarray) -> np.ndarray:
-    return kernel.apply(x) if _is_operator(kernel) else kernel @ x
-
-
-def _apply_adjoint(kernel, x: np.ndarray) -> np.ndarray:
-    return kernel.apply_adjoint(x) if _is_operator(kernel) else kernel.T @ x
-
-
-def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    scale = np.maximum(np.abs(new), np.finfo(np.float64).tiny)
-    return float(np.max(np.abs(new - old) / scale))
-
-
-def sinkhorn_scalings(
-    a: np.ndarray,
-    b: np.ndarray,
-    kernel,
-    params: SinkhornParams = SinkhornParams(),
-    init: Scalings | None = None,
-) -> Scalings:
-    """Run the unbalanced scaling fixed point from u = v = 1.
-
-    ``a`` and ``b`` are nonnegative masses of matching shape, (F,) or
-    (F, T) for T independent problems. ``init`` warm-starts the
-    scalings. Raises SinkhornNumericError (with the iteration index) on
-    non-finite intermediates; falls back to log-domain iterations when
-    scalings exceed SCALE_LIMIT and the kernel is dense.
-    """
-    a = np.maximum(np.asarray(a, dtype=np.float64), params.eps_floor)
-    b = np.maximum(np.asarray(b, dtype=np.float64), params.eps_floor)
-    if a.shape != b.shape:
-        raise ValueError("a and b must have the same shape")
-    if init is None:
-        u = np.ones_like(a)
-        v = np.ones_like(b)
-    else:
-        u = np.asarray(init.u, dtype=np.float64).copy()
-        v = np.asarray(init.v, dtype=np.float64).copy()
-    phi = params.marginal_exponent
-    tiny = np.finfo(np.float64).tiny
-
-    for it in range(params.max_iter):
-        gv = np.maximum(_apply(kernel, v), tiny)
-        u_new = (a / gv) ** phi
-        gu = np.maximum(_apply_adjoint(kernel, u_new), tiny)
-        v_new = (b / gu) ** phi
-        if np.any(np.isnan(u_new)) or np.any(np.isnan(v_new)):
-            raise SinkhornNumericError("non-finite scaling update", iteration=it)
-        if max(u_new.max(), v_new.max()) > SCALE_LIMIT:
-            if _is_operator(kernel):
-                raise SinkhornNumericError(
-                    "scaling overflow with a factorized kernel; "
-                    "no log-domain fallback is available",
-                    iteration=it,
-                )
-            return _log_domain_scalings(a, b, kernel, params, it)
-        err = max(_rel_change(u_new, u), _rel_change(v_new, v))
-        u, v = u_new, v_new
-        if err < params.tol:
-            break
-    return Scalings(u=u, v=v)
-
-
-def _log_domain_scalings(
-    a: np.ndarray, b: np.ndarray, kernel: np.ndarray, params: SinkhornParams, start_iter: int
-) -> Scalings:
-    """Log-domain restart for extreme scale configurations (dense only)."""
-    log_kernel = np.log(np.maximum(kernel, params.eps_floor))
-    la, lb = np.log(a), np.log(b)
-    batched = la.ndim == 2
-    lu = np.zeros_like(la)
-    lv = np.zeros_like(lb)
-    phi = params.marginal_exponent
-
-    def lse(lk, lx):
-        if batched:
-            return logsumexp(lk[:, :, None] + lx[None, :, :], axis=1)
-        return logsumexp(lk + lx[None, :], axis=1)
-
-    for it in range(start_iter, params.max_iter):
-        lu_new = phi * (la - lse(log_kernel, lv))
-        lv_new = phi * (lb - lse(log_kernel.T, lu_new))
-        if not (np.all(np.isfinite(lu_new)) and np.all(np.isfinite(lv_new))):
-            raise SinkhornNumericError(
-                "non-finite log-domain scalings", iteration=it
-            )
-        err = max(np.max(np.abs(lu_new - lu)), np.max(np.abs(lv_new - lv)))
-        lu, lv = lu_new, lv_new
-        if err < params.tol:
-            break
-    if max(lu.max(), lv.max()) > np.log(np.finfo(np.float64).max):
-        raise SinkhornNumericError(
-            "converged scalings exceed the floating-point range",
-            iteration=params.max_iter,
-            context={"max_log_u": float(lu.max()), "max_log_v": float(lv.max())},
-        )
-    return Scalings(u=np.exp(lu), v=np.exp(lv))
-
-
 def kl_mass(x: np.ndarray, y: np.ndarray, eps: float = EPS_FLOOR) -> float:
     """Unnormalized KL divergence sum(x log(x/y) - x + y)."""
     x = np.maximum(np.asarray(x, dtype=np.float64), eps)
@@ -216,61 +98,119 @@ def kl_mass(x: np.ndarray, y: np.ndarray, eps: float = EPS_FLOOR) -> float:
     return float(np.sum(x * np.log(x / y) - x + y))
 
 
-@dataclass(frozen=True)
-class TransportSummary:
-    """Marginals of the converged plan and the relaxed objective value."""
+class FrameMarginals(NamedTuple):
+    """Per-frame transport marginals and their log scalings.
 
-    row_marginal: np.ndarray
-    col_marginal: np.ndarray
-    objective: float
-
-
-def transport_summary(u, kernel, v, a, b, cost, params: SinkhornParams) -> TransportSummary:
-    """Marginals u*(Gv), v*(G'u) plus the dense objective.
-
-    The objective materializes P = diag(u) G diag(v), so it is limited
-    to F <= DENSE_OBJECTIVE_MAX_BINS; larger requests raise a
-    CapabilityError. Entropy convention: H(P) = -sum(P log P).
+    The scalings are warm-started, truncated after ``max_iter`` TI
+    steps; the marginals are those of the plan they define.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    row = u * _apply(kernel, v)
-    col = v * _apply_adjoint(kernel, u)
-    n_bins = u.shape[0]
-    if n_bins > DENSE_OBJECTIVE_MAX_BINS:
-        raise CapabilityError(
-            f"dense transport objective needs F <= {DENSE_OBJECTIVE_MAX_BINS}, got {n_bins}"
+
+    row: np.ndarray
+    col: np.ndarray
+    log_u: np.ndarray
+    log_v: np.ndarray
+
+
+def _apply(kernel, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    if hasattr(kernel, "apply"):
+        return kernel.apply_adjoint(x) if adjoint else kernel.apply(x)
+    return kernel.T @ x if adjoint else kernel @ x
+
+
+def _peak_exp(log_x: np.ndarray):
+    """exp(log_x) per column as unit-peak values times exp(peak)."""
+    peak = np.max(log_x, axis=0)
+    return np.exp(log_x - peak), peak
+
+
+def _log_apply(kernel, log_x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """log(G exp(log_x)) per column, stable under huge log offsets.
+
+    Each column is shifted to peak at 1 before the linear kernel
+    product, so only the per-frame scalar offsets ever carry the large
+    magnitudes. Kernel entries are bounded below by exp(-mu*max(C)-1),
+    which keeps the product of a unit-peak column away from zero.
+    """
+    scaled, peak = _peak_exp(log_x)
+    tiny = np.finfo(np.float64).tiny
+    return np.log(np.maximum(_apply(kernel, scaled, adjoint), tiny)) + peak
+
+
+def compute_frame_marginals(
+    power: np.ndarray,
+    variances: np.ndarray,
+    kernel,
+    params: SinkhornParams,
+    init: FrameMarginals = None,
+) -> FrameMarginals:
+    """Transport marginals between demixed power and modeled variance.
+
+    Runs the translation-invariant (TI) scaling iteration of Sejourne,
+    Vialard and Peyre (AISTATS 2022) for all frames at once in log
+    form: u <- (a / Gv)^phi, then every frame's log u is shifted by the
+    translation that maximizes the dual objective,
+
+        s = (gamma*mu/2) (log sum_i a_i u_i^(-1/(gamma*mu))
+                          - log sum_j b_j v_j^(-1/(gamma*mu))),
+
+    then v <- (b / G'u)^phi. Right after each update the two sums
+    are the row and column mass of the current plan, so the shift
+    reuses the kernel products and unit-peak exponentials the updates
+    form anyway. At large gamma*mu the scalings grow like
+    exp(gamma*mu/2 * log(mass ratio)) per frame, far outside double
+    range, so only the logs are kept. The result is warm-started from
+    ``init`` (a previous call's scalings) and truncated after
+    ``max_iter`` TI steps, or earlier once no log scaling moves by
+    ``tol``.
+    """
+    a = np.maximum(np.asarray(power, dtype=np.float64), params.eps_floor)
+    b = np.maximum(np.asarray(variances, dtype=np.float64), params.eps_floor)
+    if a.shape != b.shape:
+        raise ValueError("power and variance shapes differ")
+    log_a = np.log(a)
+    log_b = np.log(b)
+    phi = params.marginal_exponent
+    gm = params.gamma * params.mu
+    tiny = np.finfo(np.float64).tiny
+    if init is None:
+        log_u = np.zeros_like(log_a)
+        log_v = np.zeros_like(log_b)
+    else:
+        log_u = np.asarray(init.log_u, dtype=np.float64)
+        log_v = np.asarray(init.log_v, dtype=np.float64)
+    exp_v, peak_v = _peak_exp(log_v)
+    # a warm start's v belongs to the previous b: form its sum directly
+    terms_b, peak_b = _peak_exp(log_b - log_v / gm)
+    log_mass_b = np.log(np.sum(terms_b, axis=0)) + peak_b
+    for it in range(params.max_iter):
+        gv = np.maximum(_apply(kernel, exp_v), tiny)
+        new_u = phi * (log_a - np.log(gv) - peak_v)
+        exp_u, peak_u = _peak_exp(new_u)
+        log_mass_a = np.log(np.sum(exp_u * gv, axis=0)) + peak_u + peak_v
+        shift = 0.5 * gm * (log_mass_a - log_mass_b)
+        new_u += shift
+        peak_u += shift
+        gu = np.maximum(_apply(kernel, exp_u, adjoint=True), tiny)
+        new_v = phi * (log_b - np.log(gu) - peak_u)
+        exp_v, peak_v = _peak_exp(new_v)
+        log_mass_b = np.log(np.sum(exp_v * gu, axis=0)) + peak_v + peak_u
+        delta = np.maximum(
+            np.max(np.abs(new_u - log_u), initial=0.0),
+            np.max(np.abs(new_v - log_v), initial=0.0),
         )
-    if _is_operator(kernel):
-        kernel = kernel.materialize()
-    plan = u[:, None] * kernel * v[None, :]
-    transport_cost = float(np.sum(plan * cost))
-    neg_entropy = float(np.sum(xlogy(plan, plan)))
-    objective = (
-        transport_cost
-        + neg_entropy / params.mu
-        + params.gamma * kl_mass(row, a, params.eps_floor)
-        + params.gamma * kl_mass(col, b, params.eps_floor)
-    )
-    return TransportSummary(row_marginal=row, col_marginal=col, objective=objective)
-
-
-def sinkhorn_divergence(a, b, cost, params: SinkhornParams = SinkhornParams()) -> float:
-    """Value of the relaxed transport objective at the converged plan."""
-    kernel = gibbs_kernel(cost, params.mu, params.eps_floor)
-    u, v = sinkhorn_scalings(a, b, kernel, params)
-    return transport_summary(u, kernel, v, a, b, cost, params).objective
-
-
-def objective_core_from_scalings(u, v, row, col, mu: float) -> np.ndarray:
-    """<P,C> + (1/mu) sum(P log P) without materializing P.
-
-    Uses log P = log u_i + log v_j - mu*C_ij - 1 summed against P:
-    the cost and entropy terms collapse to
-    (1/mu) * (<row, log u> + <col, log v> - mass). Inputs may be
-    (F,) or (F, T); returns a scalar per column.
-    """
-    lu = np.log(np.maximum(u, np.finfo(np.float64).tiny))
-    lv = np.log(np.maximum(v, np.finfo(np.float64).tiny))
-    mass = np.sum(row, axis=0)
-    return (np.sum(row * lu, axis=0) + np.sum(col * lv, axis=0) - mass) / mu
+        log_u, log_v = new_u, new_v
+        if not np.isfinite(delta):
+            bad = np.where(
+                ~(np.all(np.isfinite(log_u), axis=0) & np.all(np.isfinite(log_v), axis=0))
+            )[0]
+            frame = int(bad[0]) if bad.size else None
+            raise SinkhornNumericError(
+                "non-finite log scalings in marginal computation",
+                iteration=it,
+                context=frame,
+            )
+        if delta < params.tol:
+            break
+    row = np.exp(log_u + _log_apply(kernel, log_v))
+    col = np.exp(log_v + _log_apply(kernel, log_u, adjoint=True))
+    return FrameMarginals(row=row, col=col, log_u=log_u, log_v=log_v)

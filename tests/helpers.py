@@ -7,6 +7,7 @@ the terminal summary replays after the run.
 """
 
 import numpy as np
+from scipy.special import xlogy
 
 ACCEPTANCE_VERDICTS = []
 
@@ -50,3 +51,39 @@ def reference_ip_update(demixing, data, variances) -> np.ndarray:
             d = np.linalg.solve(out[f] @ cov, np.eye(n_chan)[n])
             out[f, n] = d.conj() / np.sqrt(np.real(d.conj() @ cov @ d))
     return out
+
+
+def plain_scalings(a, b, kernel, params):
+    """Plain unbalanced scaling fixed point on a dense kernel, from u = v = 1.
+
+    u <- (a / Gv)^phi, v <- (b / G'u)^phi in the linear domain, with no
+    overflow guard, until no scaling moves by ``params.tol`` relative
+    or after ``params.max_iter`` sweeps. ``a``, ``b`` are (F,) or (F, T).
+    """
+    a = np.maximum(np.asarray(a, dtype=np.float64), params.eps_floor)
+    b = np.maximum(np.asarray(b, dtype=np.float64), params.eps_floor)
+    phi = params.marginal_exponent
+    u, v = np.ones_like(a), np.ones_like(b)
+    for _ in range(params.max_iter):
+        u_new = (a / (kernel @ v)) ** phi
+        v_new = (b / (kernel.T @ u_new)) ** phi
+        change = max(np.max(np.abs(u_new / u - 1.0)), np.max(np.abs(v_new / v - 1.0)))
+        u, v = u_new, v_new
+        if change < params.tol:
+            break
+    return u, v
+
+
+def dense_plan(log_u, kernel, log_v) -> np.ndarray:
+    """P = diag(u) G diag(v) of one frame, assembled in the log domain."""
+    return np.exp(log_u[:, None] + np.log(kernel) + log_v[None, :])
+
+
+def dense_plan_objective(plan, a, b, cost, params) -> float:
+    """Relaxed transport objective evaluated on an explicit plan matrix.
+
+    <P, C> + (1/mu) sum P log P + gamma KL(P1 | a) + gamma KL(P'1 | b).
+    """
+    row, col = plan.sum(axis=1), plan.sum(axis=0)
+    kl = np.sum(xlogy(row, row / a) - row + a) + np.sum(xlogy(col, col / b) - col + b)
+    return float(np.sum(plan * cost) + np.sum(xlogy(plan, plan)) / params.mu + params.gamma * kl)

@@ -2,9 +2,9 @@
 
 Independent oracles: instantaneous 2x2 mixtures whose exact demixing
 matrix is the mixing inverse, oracle source variances driving the
-iterative-projection sweep, the linear-domain scaling fixed point for
-the transport marginals, and objective values recomputed with explicit
-loops inside the tests.
+iterative-projection sweep, the linear-domain scaling fixed point and
+the dense-plan objective for the transport marginals, and objective
+values recomputed with explicit loops inside the tests.
 """
 
 import dataclasses
@@ -15,16 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_ip_update
+from helpers import dense_plan, dense_plan_objective, plain_scalings, reference_ip_update
 from otbss.audio import Spectrogram, StftConfig, TimeSignal, stft
 from otbss.engine import (
     METHODS,
-    FrameMarginals,
     IterationRecord,
     SeparationConfig,
+    _transport_objective,
     apply_demixing,
     back_project,
-    compute_frame_marginals,
     ilrma_objective,
     init_demixing,
     ip_update,
@@ -38,7 +37,13 @@ from otbss.errors import DemixingNumericError, SinkhornNumericError
 from otbss.kron import factorized_kernel, kron_sum_cost, materialize_kron_sum
 from otbss.nmf import NmfModel, init_nmf, is_divergence, variance
 from otbss.roomsim import synth_speech
-from otbss.sinkhorn import SinkhornParams, build_cost_sq, gibbs_kernel, sinkhorn_scalings
+from otbss.sinkhorn import (
+    FrameMarginals,
+    SinkhornParams,
+    build_cost_sq,
+    compute_frame_marginals,
+    gibbs_kernel,
+)
 
 MIX = np.array([[1.0, 0.6], [0.45, 1.0]])
 
@@ -320,7 +325,7 @@ class TestComputeFrameMarginals:
         b = rng.uniform(0.5, 2.0, size=(6, 4))
         params = SinkhornParams(mu=4.0, gamma=2.0, max_iter=4000, tol=1e-14)
         kernel = gibbs_kernel(build_cost_sq(6), params.mu)
-        u, v = sinkhorn_scalings(a, b, kernel, params)
+        u, v = plain_scalings(a, b, kernel, params)
         marg = compute_frame_marginals(a, b, kernel, params)
         np.testing.assert_allclose(marg.row, u * (kernel @ v), rtol=1e-10)
         np.testing.assert_allclose(marg.col, v * (kernel.T @ u), rtol=1e-10)
@@ -401,7 +406,7 @@ class TestComputeFrameMarginals:
         dense = gibbs_kernel(materialize_kron_sum(cost), mu)
         kernel = factorized_kernel(cost, mu) if backend == "kron" else dense
         params = SinkhornParams(mu=mu, gamma=gamma, max_iter=5000, tol=1e-14)
-        u, v = sinkhorn_scalings(a, b, kernel, params)
+        u, v = plain_scalings(a, b, dense, params)
         marg = compute_frame_marginals(a, b, kernel, params)
         rtol = 1e-7 if balanced else 1e-10
         np.testing.assert_allclose(marg.row, u * (dense @ v), rtol=rtol)
@@ -427,6 +432,28 @@ class TestComputeFrameMarginals:
             alone = compute_frame_marginals(power[n], lam[n], kernel, params, init=warm)
             for got, want in zip(batched, alone):
                 np.testing.assert_allclose(got[:, cols], want, rtol=1e-12, atol=1e-12)
+
+
+class TestTransportObjective:
+    @pytest.mark.parametrize("backend", ["dense", "kron"])
+    def test_matches_dense_plan_oracle(self, backend):
+        # truncated scalings at the default budget, as run_sdilrma calls
+        # it: the matrix-free form holds for any plan diag(u) G diag(v)
+        rng = np.random.default_rng(19)
+        power = rng.uniform(0.1, 3.0, size=(12, 4))
+        lam = rng.uniform(0.1, 3.0, size=(12, 4))
+        params = SinkhornParams()
+        cost = materialize_kron_sum(kron_sum_cost((4, 3)))
+        dense = gibbs_kernel(cost, params.mu)
+        kernel = factorized_kernel(kron_sum_cost((4, 3)), params.mu) if backend == "kron" else dense
+        marg = compute_frame_marginals(power, lam, kernel, params)
+        want = sum(
+            dense_plan_objective(
+                dense_plan(marg.log_u[:, t], dense, marg.log_v[:, t]), power[:, t], lam[:, t], cost, params
+            )
+            for t in range(power.shape[1])
+        )
+        assert _transport_objective(marg, power, lam, params) == pytest.approx(want, rel=1e-10)
 
 
 def _translation_dual(log_u, log_v, a, b, params):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otbss.errors import CapabilityError, FactorizationError
 from otbss.kron import (
@@ -9,13 +11,8 @@ from otbss.kron import (
     KroneckerCost,
     factorize_bins,
     factorized_kernel,
-    fold,
-    kron_col_marginal,
-    kron_kernel_apply,
-    kron_row_marginal,
     kron_sum_cost,
     materialize_kron_sum,
-    unfold,
 )
 from otbss.sinkhorn import build_cost_sq
 
@@ -131,36 +128,53 @@ class TestMaterializeKronSum:
             materialize_kron_sum(kron_sum_cost((64, 64)))
 
 
+def _plain_kernel(*factors):
+    """Unscaled FactorizedKernel over hand-picked factor matrices."""
+    return FactorizedKernel(kernels=factors, dims=tuple(len(g) for g in factors), scale=1.0)
+
+
 class TestFoldUnfold:
+    """The apply folds the flat bin index into row-major digits by reshape."""
+
     def test_round_trip(self):
+        # identity factors: fold, multiply by I per digit, unfold
         rng = np.random.default_rng(2)
         v = rng.standard_normal(24)
         for dims in ((24,), (4, 6), (2, 3, 4)):
-            np.testing.assert_array_equal(unfold(fold(v, dims), dims), v)
+            k = _plain_kernel(*(np.eye(f) for f in dims))
+            np.testing.assert_array_equal(k.apply(v), v)
+            np.testing.assert_array_equal(k.apply_adjoint(v), v)
 
     def test_index_arithmetic(self):
-        # flat 5 with dims (2,3): 5 = 1*3 + 2
-        v = np.arange(6.0)
-        t = fold(v, (2, 3))
-        assert t[1, 2] == 5.0
-        assert t[0, 0] == 0.0
-        assert t[1, 0] == 3.0
+        # flat 5 with dims (2,3) is digit (1,2): G e_5 = A[:, 1] x B[:, 2]
+        rng = np.random.default_rng(9)
+        A, B = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
+        out = _plain_kernel(A, B).apply(np.eye(6)[5])
+        for i1 in range(2):
+            for i2 in range(3):
+                assert out[i1 * 3 + i2] == pytest.approx(A[i1, 1] * B[i2, 2], rel=1e-15)
 
     def test_ones_map_to_ones(self):
-        t = fold(np.ones(12), (3, 4))
-        np.testing.assert_array_equal(t, np.ones((3, 4)))
+        # mu = 0 gives all-ones factors: every entry sums F ones
+        k = factorized_kernel(kron_sum_cost((3, 4)), mu=0.0)
+        np.testing.assert_allclose(k.apply(np.ones(12)), 12 * np.exp(-1.0), rtol=1e-15)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            fold(np.ones(10), (3, 4))
+        # a length that only divides by the dims must not be reshaped through
+        k = _random_kernel((3, 4))
+        for bad in (np.ones(10), np.ones(24), np.ones((24, 2)), np.ones((12, 2, 2))):
+            with pytest.raises(ValueError):
+                k.apply(bad)
+            with pytest.raises(ValueError):
+                k.apply_adjoint(bad)
 
     def test_batched_columns(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((12, 7))
-        t = fold(m, (3, 4))
-        assert t.shape == (3, 4, 7)
-        np.testing.assert_array_equal(unfold(t, (3, 4)), m)
-        np.testing.assert_array_equal(t[2, 1, 5], m[2 * 4 + 1, 5])
+        k = _random_kernel((3, 4))
+        out = k.apply(m)
+        assert out.shape == (12, 7)
+        np.testing.assert_allclose(out[:, 5], k.apply(m[:, 5]), rtol=1e-13)
 
 
 def _random_kernel(dims, mu=20.0):
@@ -173,7 +187,7 @@ class TestKernelApply:
         k = _random_kernel((9,))
         v = rng.standard_normal(9)
         expected = np.exp(-1.0) * k.kernels[0] @ v
-        np.testing.assert_allclose(kron_kernel_apply(k, v), expected, rtol=1e-14)
+        np.testing.assert_allclose(k.apply(v), expected, rtol=1e-14)
 
     def test_matches_dense_kronecker_product(self):
         # oracle: assemble e^(-1) G1 x G2 with np.kron
@@ -204,15 +218,37 @@ class TestKernelApply:
             np.testing.assert_allclose(batched[:, t], k.apply(m[:, t]), rtol=1e-13)
 
     def test_mode_products_commute(self):
+        # G1 x G2 = (G1 x I)(I x G2) = (I x G2)(G1 x I)
         rng = np.random.default_rng(8)
         k = _random_kernel((3, 5))
         v = rng.uniform(0.1, 1.0, 15)
-        from otbss.kron import _mode_apply
-
-        folded = fold(v, (3, 5))
-        order_a = _mode_apply(_mode_apply(folded, k.kernels[0], 0), k.kernels[1], 1)
-        order_b = _mode_apply(_mode_apply(folded, k.kernels[1], 1), k.kernels[0], 0)
+        first = _plain_kernel(k.kernels[0], np.eye(5))
+        second = _plain_kernel(np.eye(3), k.kernels[1])
+        order_a = second.apply(first.apply(v))
+        order_b = first.apply(second.apply(v))
         np.testing.assert_allclose(order_a, order_b, rtol=1e-12)
+        np.testing.assert_allclose(k.scale * order_a, k.apply(v), rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+        n_cols=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_materialized_kernel(self, dims, n_cols, seed):
+        # random, non-symmetric factors, so a missing transpose shows
+        rng = np.random.default_rng(seed)
+        k = FactorizedKernel(
+            kernels=tuple(rng.uniform(-1.0, 1.0, (f, f)) for f in dims),
+            dims=tuple(dims),
+            scale=float(rng.uniform(0.5, 2.0)),
+        )
+        dense = k.materialize()
+        m = rng.uniform(-1.0, 1.0, (k.n_bins, n_cols))
+        tol = 1e-13 * np.abs(dense).sum(axis=1).max()
+        for x in (m[:, 0], m):
+            assert np.max(np.abs(k.apply(x) - dense @ x)) <= tol
+            assert np.max(np.abs(k.apply_adjoint(x) - dense.T @ x)) <= tol
 
     def test_kernel_matches_dense_gibbs_of_kron_sum(self):
         # the factored kernel must equal exp(-mu*C - 1) of the
@@ -242,11 +278,11 @@ class TestMarginals:
         v = rng.uniform(0.5, 2.0, F)
         dense = k.materialize()
         plan = u[:, None] * dense * v[None, :]
-        np.testing.assert_allclose(kron_row_marginal(u, k, v), plan.sum(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(kron_col_marginal(u, k, v), plan.sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(u * k.apply(v), plan.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(v * k.apply_adjoint(u), plan.sum(axis=0), rtol=1e-12)
 
     def test_unit_scalings(self):
         k = _random_kernel((3, 4))
         ones = np.ones(12)
         expected = k.apply(ones)
-        np.testing.assert_allclose(kron_row_marginal(ones, k, ones), expected, rtol=1e-14)
+        np.testing.assert_allclose(ones * k.apply(ones), expected, rtol=1e-14)

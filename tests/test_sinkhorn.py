@@ -1,4 +1,4 @@
-"""Dense unbalanced transport: kernel values, fixed point, objective.
+"""Unbalanced transport: kernel values, the TI solver, the objective.
 
 Independent oracles: hand-evaluated kernel entries, dense plan assembly
 by explicit loops, a Nelder-Mead minimization of the relaxed objective
@@ -9,31 +9,24 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from otbss.errors import CapabilityError, SinkhornNumericError
+from helpers import dense_plan, dense_plan_objective
+from otbss.engine import _transport_objective
+from otbss.errors import SinkhornNumericError
 from otbss.sinkhorn import (
     EPS_FLOOR,
+    FrameMarginals,
     SinkhornParams,
     build_cost_sq,
+    compute_frame_marginals,
     gibbs_kernel,
     kl_mass,
-    objective_core_from_scalings,
-    sinkhorn_divergence,
-    sinkhorn_scalings,
-    transport_summary,
 )
 
 
-def _objective_dense(plan, a, b, cost, params):
-    """Reference objective evaluated on an explicit plan matrix."""
-    r = plan.sum(axis=1)
-    c = plan.sum(axis=0)
-    ent = float(np.sum(plan * np.log(plan)))
-    return (
-        float(np.sum(plan * cost))
-        + ent / params.mu
-        + params.gamma * kl_mass(r, a)
-        + params.gamma * kl_mass(c, b)
-    )
+def _solve(a, b, kernel, params, init=None):
+    """One-frame solve: (F,) masses in, (F,) marginals and log scalings out."""
+    marg = compute_frame_marginals(a[:, None], b[:, None], kernel, params, init=init)
+    return FrameMarginals(*(x[:, 0] for x in marg))
 
 
 def _minimize_plan(a, b, cost, params, x0):
@@ -41,7 +34,7 @@ def _minimize_plan(a, b, cost, params, x0):
     F = len(a)
 
     def fun(x):
-        return _objective_dense(np.exp(x).reshape(F, F), a, b, cost, params)
+        return dense_plan_objective(np.exp(x).reshape(F, F), a, b, cost, params)
 
     res = minimize(
         fun,
@@ -121,12 +114,11 @@ class TestScalings:
         a = rng.uniform(0.5, 2.0, 6)
         p = SinkhornParams(max_iter=2000, tol=1e-12)
         G = gibbs_kernel(np.zeros((6, 6)), p.mu)
-        u, v = sinkhorn_scalings(a, a, G, p)
-        row = u * (G @ v)
-        col = v * (G.T @ u)
-        np.testing.assert_allclose(row, col, rtol=1e-8)
+        marg = _solve(a, a, G, p)
+        np.testing.assert_allclose(marg.row, marg.col, rtol=1e-8)
 
     def test_fixed_point_residual_below_tol(self):
+        # the converged TI scalings satisfy the plain fixed point
         rng = np.random.default_rng(1)
         F = 12
         a = rng.uniform(0.5, 2.0, F)
@@ -134,10 +126,9 @@ class TestScalings:
         b *= a.sum() / b.sum()
         p = SinkhornParams(max_iter=5000, tol=1e-6)
         G = gibbs_kernel(build_cost_sq(F), p.mu)
-        u, v = sinkhorn_scalings(a, b, G, p)
-        u_next = (a / (G @ v)) ** p.marginal_exponent
-        residual = np.max(np.abs(u - u_next)) / np.max(np.abs(u))
-        assert residual < p.tol
+        marg = _solve(a, b, G, p)
+        log_u_next = p.marginal_exponent * (np.log(a) - np.log(G @ np.exp(marg.log_v)))
+        assert np.max(np.abs(marg.log_u - log_u_next)) < p.tol
 
     def test_balanced_limit_recovers_marginals(self):
         # gamma -> infinity forces P1 = a and P'1 = b (equal masses)
@@ -148,12 +139,10 @@ class TestScalings:
         b *= a.sum() / b.sum()
         p = SinkhornParams(mu=100.0, gamma=1e6, max_iter=5000, tol=1e-12)
         G = gibbs_kernel(build_cost_sq(F), p.mu)
-        u, v = sinkhorn_scalings(a, b, G, p)
-        row = u * (G @ v)
-        col = v * (G.T @ u)
-        np.testing.assert_allclose(row, a, rtol=1e-4)
-        np.testing.assert_allclose(col, b, rtol=1e-4)
-        assert np.sum(np.abs(row - a)) / np.sum(a) < 1e-3
+        marg = _solve(a, b, G, p)
+        np.testing.assert_allclose(marg.row, a, rtol=1e-4)
+        np.testing.assert_allclose(marg.col, b, rtol=1e-4)
+        assert np.sum(np.abs(marg.row - a)) / np.sum(a) < 1e-3
 
     def test_mass_crosses_to_off_diagonal_cell(self):
         # a concentrated on bin 0, b on bin 1: nearly all mass must
@@ -163,29 +152,28 @@ class TestScalings:
         a = np.array([1.0, EPS_FLOOR])
         b = np.array([EPS_FLOOR, 1.0])
         G = gibbs_kernel(C, p.mu)
-        u, v = sinkhorn_scalings(a, b, G, p)
-        plan = u[:, None] * G * v[None, :]
+        marg = _solve(a, b, G, p)
+        plan = dense_plan(marg.log_u, G, marg.log_v)
         assert plan[0, 1] / plan.sum() > 0.99
         brute, _ = _minimize_plan(a, b, C, p, np.full((2, 2), 0.25))
         assert plan[0, 1] == pytest.approx(brute[0, 1], rel=1e-5)
 
     def test_batched_columns_match_per_frame_runs(self):
+        # a fixed budget (tol out of reach) so every run takes the same steps
         rng = np.random.default_rng(3)
         F, T = 9, 5
         a = rng.uniform(0.5, 2.0, (F, T))
         b = rng.uniform(0.5, 2.0, (F, T))
-        p = SinkhornParams(max_iter=300, tol=1e-10)
+        p = SinkhornParams(max_iter=300, tol=1e-300)
         G = gibbs_kernel(build_cost_sq(F), p.mu)
-        u_all, v_all = sinkhorn_scalings(a, b, G, p)
+        batched = compute_frame_marginals(a, b, G, p)
         for t in range(T):
-            u_t, v_t = sinkhorn_scalings(a[:, t], b[:, t], G, p)
-            np.testing.assert_allclose(u_all[:, t], u_t, rtol=1e-9)
-            np.testing.assert_allclose(v_all[:, t], v_t, rtol=1e-9)
+            alone = _solve(a[:, t], b[:, t], G, p)
+            for got, want in zip(batched, alone):
+                np.testing.assert_allclose(got[:, t], want, rtol=1e-12, atol=1e-12)
 
     def test_warm_start_converges_to_same_point(self):
-        # the relaxation contracts at rate ~ phi^2 = 0.998, so true
-        # convergence needs many sweeps; once there, a warm restart
-        # must stay put
+        # once converged, a warm restart must stay put
         rng = np.random.default_rng(4)
         F = 10
         a = rng.uniform(0.5, 2.0, F)
@@ -193,50 +181,50 @@ class TestScalings:
         b *= a.sum() / b.sum()
         p = SinkhornParams(max_iter=60000, tol=1e-13)
         G = gibbs_kernel(build_cost_sq(F), p.mu)
-        cold = sinkhorn_scalings(a, b, G, p)
-        warm = sinkhorn_scalings(a, b, G, p, init=cold)
-        np.testing.assert_allclose(warm.u, cold.u, rtol=1e-9)
+        cold = compute_frame_marginals(a[:, None], b[:, None], G, p)
+        warm = compute_frame_marginals(a[:, None], b[:, None], G, p, init=cold)
+        np.testing.assert_allclose(warm.log_u, cold.log_u, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(warm.row, cold.row, rtol=1e-9)
 
     def test_nan_input_raises_with_iteration_index(self):
         p = SinkhornParams(max_iter=10)
         G = gibbs_kernel(build_cost_sq(3), p.mu)
         a = np.array([1.0, np.nan, 1.0])
         with pytest.raises(SinkhornNumericError) as exc:
-            sinkhorn_scalings(a, np.ones(3), G, p)
+            _solve(a, np.ones(3), G, p)
         assert exc.value.iteration == 0
 
-    def test_log_domain_fallback_for_extreme_masses(self):
-        # transient scalings exceed 1e150 but the converged point is
-        # representable; the log-domain restart must find it
+    def test_extreme_masses_give_finite_log_scalings(self):
+        # the converged u exceeds 1e150; the solver keeps only its log
         p = SinkhornParams(mu=1.0, gamma=1.0, max_iter=200, tol=1e-12)
         G = gibbs_kernel(np.zeros((2, 2)), p.mu)
-        u, v = sinkhorn_scalings(np.exp(700) * np.ones(2), np.ones(2), G, p)
-        assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
-        assert u.max() > 1e150
+        marg = _solve(np.exp(700) * np.ones(2), np.ones(2), G, p)
+        for x in marg:
+            assert np.all(np.isfinite(x))
+        assert marg.log_u.max() > np.log(1e150)
 
     def test_contraction_like_scaling_changes(self):
-        # log-domain change per sweep shrinks monotonically after the
-        # first few iterations on random instances
+        # log-domain change per TI step shrinks monotonically after the
+        # first few steps on random instances; each call is one step
+        # warm-started from the last
         rng = np.random.default_rng(5)
         F = 8
-        p = SinkhornParams(mu=100.0, gamma=10.0)
+        p = SinkhornParams(mu=100.0, gamma=10.0, max_iter=1)
         G = gibbs_kernel(build_cost_sq(F), p.mu)
-        phi = p.marginal_exponent
         for trial in range(5):
-            a = rng.uniform(0.5, 2.0, F)
-            b = rng.uniform(0.5, 2.0, F)
-            u, v = np.ones(F), np.ones(F)
+            a = rng.uniform(0.5, 2.0, (F, 1))
+            b = rng.uniform(0.5, 2.0, (F, 1))
+            marg = compute_frame_marginals(a, b, G, p)
             errs = []
             for _ in range(20):
-                un = (a / (G @ v)) ** phi
-                vn = (b / (G.T @ un)) ** phi
+                step = compute_frame_marginals(a, b, G, p, init=marg)
                 errs.append(
                     max(
-                        np.max(np.abs(np.log(un) - np.log(u))),
-                        np.max(np.abs(np.log(vn) - np.log(v))),
+                        np.max(np.abs(step.log_u - marg.log_u)),
+                        np.max(np.abs(step.log_v - marg.log_v)),
                     )
                 )
-                u, v = un, vn
+                marg = step
             for i in range(3, len(errs) - 1):
                 assert errs[i + 1] <= errs[i] * (1.0 + 1e-9)
 
@@ -249,16 +237,15 @@ class TestTransportSummary:
         a = rng.uniform(0.5, 2.0, F)
         b = rng.uniform(0.5, 2.0, F)
         p = SinkhornParams(max_iter=1000, tol=1e-10)
-        C = build_cost_sq(F)
-        G = gibbs_kernel(C, p.mu)
-        u, v = sinkhorn_scalings(a, b, G, p)
-        ts = transport_summary(u, G, v, a, b, C, p)
+        G = gibbs_kernel(build_cost_sq(F), p.mu)
+        marg = _solve(a, b, G, p)
+        u, v = np.exp(marg.log_u), np.exp(marg.log_v)
         plan = np.empty((F, F))
         for i in range(F):
             for j in range(F):
                 plan[i, j] = u[i] * G[i, j] * v[j]
-        np.testing.assert_allclose(ts.row_marginal, plan.sum(axis=1), rtol=1e-12)
-        np.testing.assert_allclose(ts.col_marginal, plan.sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(marg.row, plan.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(marg.col, plan.sum(axis=0), rtol=1e-12)
 
     def test_mass_conservation(self):
         rng = np.random.default_rng(7)
@@ -266,12 +253,10 @@ class TestTransportSummary:
         a = rng.uniform(0.5, 2.0, F)
         b = rng.uniform(0.5, 2.0, F)
         p = SinkhornParams(max_iter=500, tol=1e-9)
-        C = build_cost_sq(F)
-        G = gibbs_kernel(C, p.mu)
-        u, v = sinkhorn_scalings(a, b, G, p)
-        ts = transport_summary(u, G, v, a, b, C, p)
-        total_r = ts.row_marginal.sum()
-        total_c = ts.col_marginal.sum()
+        G = gibbs_kernel(build_cost_sq(F), p.mu)
+        marg = _solve(a, b, G, p)
+        total_r = marg.row.sum()
+        total_c = marg.col.sum()
         assert abs(total_r - total_c) / total_r < 1e-10
 
     def test_perfect_fit_has_zero_kl_terms(self):
@@ -281,11 +266,9 @@ class TestTransportSummary:
         F = 6
         a = rng.uniform(0.5, 2.0, F)
         p = SinkhornParams(gamma=1e5, max_iter=5000, tol=1e-13)
-        C = np.zeros((F, F))
-        G = gibbs_kernel(C, p.mu)
-        u, v = sinkhorn_scalings(a, a, G, p)
-        ts = transport_summary(u, G, v, a, a, C, p)
-        kl = kl_mass(ts.row_marginal, a) + kl_mass(ts.col_marginal, a)
+        G = gibbs_kernel(np.zeros((F, F)), p.mu)
+        marg = _solve(a, a, G, p)
+        kl = kl_mass(marg.row, a) + kl_mass(marg.col, a)
         assert kl < 1e-10
 
     def test_divergence_reduces_to_entropy_term_for_perfect_fit(self):
@@ -294,27 +277,16 @@ class TestTransportSummary:
         F = 5
         a = rng.uniform(0.5, 2.0, F)
         p = SinkhornParams(gamma=1e5, max_iter=5000, tol=1e-13)
-        C = np.zeros((F, F))
-        G = gibbs_kernel(C, p.mu)
-        u, v = sinkhorn_scalings(a, a, G, p)
-        plan = u[:, None] * G * v[None, :]
+        G = gibbs_kernel(np.zeros((F, F)), p.mu)
+        marg = compute_frame_marginals(a[:, None], a[:, None], G, p)
+        plan = dense_plan(marg.log_u[:, 0], G, marg.log_v[:, 0])
         neg_entropy_over_mu = np.sum(plan * np.log(plan)) / p.mu
-        val = sinkhorn_divergence(a, a, C, p)
+        val = _transport_objective(marg, a[:, None], a[:, None], p)
         assert val == pytest.approx(neg_entropy_over_mu, rel=1e-8)
 
-    def test_large_f_objective_raises_capability_error(self):
-        F = 300
-        p = SinkhornParams(max_iter=5)
-        C = build_cost_sq(F)
-        G = gibbs_kernel(C, p.mu)
-        a = np.ones(F)
-        u, v = sinkhorn_scalings(a, a, G, p)
-        with pytest.raises(CapabilityError):
-            transport_summary(u, G, v, a, a, C, p)
-
     def test_matrix_free_objective_identity(self):
-        # <P,C> + (1/mu) sum(P log P) computed from scalings alone
-        # must equal the dense evaluation
+        # the objective from scalings and marginals alone must equal the
+        # dense evaluation on the assembled plan
         rng = np.random.default_rng(10)
         F = 12
         a = rng.uniform(0.5, 2.0, F)
@@ -322,13 +294,10 @@ class TestTransportSummary:
         p = SinkhornParams(max_iter=2000, tol=1e-11)
         C = build_cost_sq(F)
         G = gibbs_kernel(C, p.mu)
-        u, v = sinkhorn_scalings(a, b, G, p)
-        plan = u[:, None] * G * v[None, :]
-        dense_core = np.sum(plan * C) + np.sum(plan * np.log(plan)) / p.mu
-        row = u * (G @ v)
-        col = v * (G.T @ u)
-        core = objective_core_from_scalings(u, v, row, col, p.mu)
-        assert core == pytest.approx(dense_core, rel=1e-10)
+        marg = compute_frame_marginals(a[:, None], b[:, None], G, p)
+        plan = dense_plan(marg.log_u[:, 0], G, marg.log_v[:, 0])
+        dense = dense_plan_objective(plan, a, b, C, p)
+        assert _transport_objective(marg, a[:, None], b[:, None], p) == pytest.approx(dense, rel=1e-10)
 
 
 class TestDivergence:
@@ -341,10 +310,10 @@ class TestDivergence:
         p = SinkhornParams(mu=100.0, gamma=10.0, max_iter=40000, tol=1e-14)
         C = build_cost_sq(F)
         G = gibbs_kernel(C, p.mu)
-        u, v = sinkhorn_scalings(a, b, G, p)
-        start = u[:, None] * G * v[None, :]
+        marg = compute_frame_marginals(a[:, None], b[:, None], G, p)
+        start = dense_plan(marg.log_u[:, 0], G, marg.log_v[:, 0])
         _, brute_val = _minimize_plan(a, b, C, p, start)
-        ours = sinkhorn_divergence(a, b, C, p)
+        ours = _transport_objective(marg, a[:, None], b[:, None], p)
         assert ours == pytest.approx(brute_val, rel=1e-8)
 
     def test_gamma_monotone_penalty_on_mismatched_masses(self):
@@ -357,12 +326,12 @@ class TestDivergence:
         for gamma in (0.1, 1.0, 10.0):
             p = SinkhornParams(mu=100.0, gamma=gamma, max_iter=20000, tol=1e-13)
             G = gibbs_kernel(C, p.mu)
-            u, v = sinkhorn_scalings(a, b, G, p)
-            ts = transport_summary(u, G, v, a, b, C, p)
-            pen = gamma * (kl_mass(ts.row_marginal, a) + kl_mass(ts.col_marginal, b))
+            marg = _solve(a, b, G, p)
+            pen = gamma * (kl_mass(marg.row, a) + kl_mass(marg.col, b))
+            obj = dense_plan_objective(dense_plan(marg.log_u, G, marg.log_v), a, b, C, p)
             assert pen >= prev_pen
-            assert ts.objective >= prev_obj
-            prev_pen, prev_obj = pen, ts.objective
+            assert obj >= prev_obj
+            prev_pen, prev_obj = pen, obj
 
     def test_transport_cost_scales_with_mass(self):
         # scaling both masses by c scales the optimal <P,C> by ~c
@@ -376,8 +345,8 @@ class TestDivergence:
         G = gibbs_kernel(C, p.mu)
 
         def tcost(aa, bb):
-            u, v = sinkhorn_scalings(aa, bb, G, p)
-            return float(np.sum((u[:, None] * G * v[None, :]) * C))
+            marg = _solve(aa, bb, G, p)
+            return float(np.sum(dense_plan(marg.log_u, G, marg.log_v) * C))
 
         t1 = tcost(a, b)
         t2 = tcost(10.0 * a, 10.0 * b)
