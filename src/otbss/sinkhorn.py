@@ -45,6 +45,9 @@ class SinkhornParams:
     marginal KL relaxation (one multiplier for both marginals).
     ``max_iter`` is the engine's truncation budget in TI steps, picked
     by a sweep of separation quality and time on a reference scene.
+    ``tol`` has a floor of about gamma*mu * 1e-16 * max|log u|, the
+    rounding the TI shift (gamma*mu/2 times a log-mass difference) adds
+    every step; a solve asked for less silently runs to ``max_iter``.
     """
 
     mu: float = 100.0
@@ -120,20 +123,20 @@ def _apply(kernel, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
 def _peak_exp(log_x: np.ndarray):
     """exp(log_x) per column as unit-peak values times exp(peak)."""
     peak = np.max(log_x, axis=0)
-    return np.exp(log_x - peak), peak
+    scaled = log_x - peak
+    return np.exp(scaled, out=scaled), peak
 
 
-def _log_apply(kernel, log_x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """log(G exp(log_x)) per column, stable under huge log offsets.
+def _non_finite(iteration: int, *log_scalings) -> SinkhornNumericError:
+    """The error naming the first frame (column) with a NaN or inf entry."""
+    bad = ~np.all([np.all(np.isfinite(x), axis=0) for x in log_scalings], axis=0)
+    frame = int(np.flatnonzero(bad)[0]) if np.any(bad) else None
+    return SinkhornNumericError("non-finite log scalings in marginal computation", iteration, frame)
 
-    Each column is shifted to peak at 1 before the linear kernel
-    product, so only the per-frame scalar offsets ever carry the large
-    magnitudes. Kernel entries are bounded below by exp(-mu*max(C)-1),
-    which keeps the product of a unit-peak column away from zero.
-    """
-    scaled, peak = _peak_exp(log_x)
-    tiny = np.finfo(np.float64).tiny
-    return np.log(np.maximum(_apply(kernel, scaled, adjoint), tiny)) + peak
+
+def _largest_move(*pairs) -> float:
+    """max |x - y| over all entries of the (x, y) pairs."""
+    return max(np.max(np.abs(x - y), initial=0.0) for x, y in pairs)
 
 
 def compute_frame_marginals(
@@ -161,7 +164,10 @@ def compute_frame_marginals(
     range, so only the logs are kept. The result is warm-started from
     ``init`` (a previous call's scalings) and truncated after
     ``max_iter`` TI steps, or earlier once no log scaling moves by
-    ``tol``.
+    ``tol``. As |max x - max y| <= max |x - y|, the frames' peak log
+    scalings bound a step's move from below; the full move is formed
+    only once that bound is below ``tol``. The column marginal reuses
+    the last G'u, the row marginal takes one more apply: 2*max_iter + 1.
     """
     a = np.maximum(np.asarray(power, dtype=np.float64), params.eps_floor)
     b = np.maximum(np.asarray(variances, dtype=np.float64), params.eps_floor)
@@ -178,39 +184,48 @@ def compute_frame_marginals(
     else:
         log_u = np.asarray(init.log_u, dtype=np.float64)
         log_v = np.asarray(init.log_v, dtype=np.float64)
+    # no update reads a warm start's u, so it is checked here; from then
+    # on the per-frame peaks carry every NaN and inf the updates make
+    peak_u = np.max(log_u, axis=0)
+    if not np.all(np.isfinite(peak_u) & np.isfinite(np.min(log_u, axis=0))):
+        raise _non_finite(0, log_u)
     exp_v, peak_v = _peak_exp(log_v)
     # a warm start's v belongs to the previous b: form its sum directly
     terms_b, peak_b = _peak_exp(log_b - log_v / gm)
     log_mass_b = np.log(np.sum(terms_b, axis=0)) + peak_b
     for it in range(params.max_iter):
-        gv = np.maximum(_apply(kernel, exp_v), tiny)
-        new_u = phi * (log_a - np.log(gv) - peak_v)
-        exp_u, peak_u = _peak_exp(new_u)
-        log_mass_a = np.log(np.sum(exp_u * gv, axis=0)) + peak_u + peak_v
+        gv = _apply(kernel, exp_v)
+        np.maximum(gv, tiny, out=gv)
+        new_u = np.log(gv)
+        np.subtract(log_a, new_u, out=new_u)
+        new_u -= peak_v
+        new_u *= phi
+        exp_u, new_peak_u = _peak_exp(new_u)
+        gv *= exp_u
+        log_mass_a = np.log(np.sum(gv, axis=0)) + new_peak_u + peak_v
         shift = 0.5 * gm * (log_mass_a - log_mass_b)
         new_u += shift
-        peak_u += shift
-        gu = np.maximum(_apply(kernel, exp_u, adjoint=True), tiny)
-        new_v = phi * (log_b - np.log(gu) - peak_u)
-        exp_v, peak_v = _peak_exp(new_v)
-        log_mass_b = np.log(np.sum(exp_v * gu, axis=0)) + peak_v + peak_u
-        delta = np.maximum(
-            np.max(np.abs(new_u - log_u), initial=0.0),
-            np.max(np.abs(new_v - log_v), initial=0.0),
-        )
-        log_u, log_v = new_u, new_v
-        if not np.isfinite(delta):
-            bad = np.where(
-                ~(np.all(np.isfinite(log_u), axis=0) & np.all(np.isfinite(log_v), axis=0))
-            )[0]
-            frame = int(bad[0]) if bad.size else None
-            raise SinkhornNumericError(
-                "non-finite log scalings in marginal computation",
-                iteration=it,
-                context=frame,
-            )
-        if delta < params.tol:
+        new_peak_u += shift
+        gu = _apply(kernel, exp_u, adjoint=True)
+        np.maximum(gu, tiny, out=gu)
+        log_gu = np.log(gu)
+        new_v = np.subtract(log_b, log_gu)
+        new_v -= new_peak_u
+        new_v *= phi
+        exp_v, new_peak_v = _peak_exp(new_v)
+        gu *= exp_v
+        log_mass_b = np.log(np.sum(gu, axis=0)) + new_peak_v + new_peak_u
+        if not np.all(np.isfinite(new_peak_u) & np.isfinite(new_peak_v)):
+            raise _non_finite(it, new_u, new_v)
+        bound = _largest_move((new_peak_u, peak_u), (new_peak_v, peak_v))
+        done = bound < params.tol and _largest_move((new_u, log_u), (new_v, log_v)) < params.tol
+        log_u, log_v, peak_u, peak_v = new_u, new_v, new_peak_u, new_peak_v
+        if done:
             break
-    row = np.exp(log_u + _log_apply(kernel, log_v))
-    col = np.exp(log_v + _log_apply(kernel, log_u, adjoint=True))
-    return FrameMarginals(row=row, col=col, log_u=log_u, log_v=log_v)
+    # log-domain marginals: only the per-frame peaks carry huge magnitudes
+    row = np.log(np.maximum(_apply(kernel, exp_v), tiny))
+    row += peak_v
+    row += log_u
+    log_gu += peak_u
+    log_gu += log_v
+    return FrameMarginals(np.exp(row, out=row), np.exp(log_gu, out=log_gu), log_u, log_v)

@@ -7,7 +7,7 @@ the terminal summary replays after the run.
 """
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import logsumexp, xlogy
 
 ACCEPTANCE_VERDICTS = []
 
@@ -77,6 +77,18 @@ def plain_scalings(a, b, kernel, params):
 def dense_plan(log_u, kernel, log_v) -> np.ndarray:
     """P = diag(u) G diag(v) of one frame, assembled in the log domain."""
     return np.exp(log_u[:, None] + np.log(kernel) + log_v[None, :])
+
+
+def dense_marginals(log_u, kernel, log_v):
+    """u * (G v) and v * (G' u) of (F, T) log scalings, by a logsumexp per entry.
+
+    Every product stays in the log domain, so masses near exp(+-700)
+    neither overflow nor underflow before the final exp.
+    """
+    log_g = np.log(kernel)[:, :, None]
+    row = np.exp(log_u + logsumexp(log_g + log_v[None, :, :], axis=1))
+    col = np.exp(log_v + logsumexp(log_g + log_u[:, None, :], axis=0))
+    return row, col
 
 
 def dense_plan_objective(plan, a, b, cost, params) -> float:

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_plan, dense_plan_objective, plain_scalings, reference_ip_update
+from helpers import (
+    dense_marginals,
+    dense_plan,
+    dense_plan_objective,
+    plain_scalings,
+    reference_ip_update,
+)
 from otbss.audio import Spectrogram, StftConfig, TimeSignal, stft
 from otbss.engine import (
     METHODS,
@@ -63,6 +69,14 @@ def _random_spectrogram(rng, n_chan, n_bins, n_frames):
         (n_chan, n_bins, n_frames)
     )
     return data
+
+
+def _backend_kernel(backend, mu, dims=(4, 3)):
+    """Gibbs kernel of the Kronecker-sum cost, factored or dense."""
+    cost = kron_sum_cost(dims)
+    if backend == "kron":
+        return factorized_kernel(cost, mu)
+    return gibbs_kernel(materialize_kron_sum(cost), mu)
 
 
 def _off_pattern(matrix):
@@ -385,6 +399,82 @@ class TestComputeFrameMarginals:
             compute_frame_marginals(
                 np.ones((4, 3)), np.ones((5, 3)), gibbs_kernel(build_cost_sq(4), 100.0), SinkhornParams()
             )
+
+    @pytest.mark.parametrize("backend", ["dense", "kron"])
+    @pytest.mark.parametrize("field", ["log_u", "log_v"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_warm_start_names_its_frame(self, backend, field, value):
+        # no update reads the warm start's u, so its bad frame must be
+        # found in the warm start itself
+        rng = np.random.default_rng(21)
+        a = rng.uniform(0.5, 2.0, size=(12, 4))
+        b = rng.uniform(0.5, 2.0, size=(12, 4))
+        params = SinkhornParams()
+        kernel = _backend_kernel(backend, params.mu)
+        init = compute_frame_marginals(a, b, kernel, params)
+        bad = getattr(init, field).copy()
+        bad[5, 2] = value
+        with np.errstate(all="ignore"), pytest.raises(SinkhornNumericError) as excinfo:
+            compute_frame_marginals(a, b, kernel, params, init=init._replace(**{field: bad}))
+        assert excinfo.value.iteration == 0
+        assert excinfo.value.context == 2
+
+    @pytest.mark.parametrize("backend", ["dense", "kron"])
+    def test_tol_stops_at_the_first_step_below_it(self, backend):
+        # the first step k whose move from the (k - 1)-step scalings is
+        # below tol, found from fixed budgets (tol out of reach): a run
+        # with that tol must stop there, bit for bit
+        rng = np.random.default_rng(22)
+        tols = (1e-2, 1e-4, 1e-6, 1e-9)
+        for mu, gamma, warm in [(4.0, 2.0, False), (4.0, 2.0, True), (20.0, 1.0, False),
+                                (20.0, 1.0, True), (100.0, 0.1, False), (100.0, 0.1, True)]:
+            a = rng.uniform(0.2, 3.0, size=(12, 3))
+            b = rng.uniform(0.2, 3.0, size=(12, 3))
+            kernel = _backend_kernel(backend, mu)
+            fixed = SinkhornParams(mu=mu, gamma=gamma, max_iter=5, tol=1e-300)
+            # all-zero log scalings are the cold start
+            init = FrameMarginals(None, None, np.zeros_like(a), np.zeros_like(b))
+            if warm:
+                init = compute_frame_marginals(0.5 * a, b, kernel, fixed)
+            runs, first = [init], {}
+            while len(first) < len(tols):
+                fixed = dataclasses.replace(fixed, max_iter=len(runs))
+                runs.append(compute_frame_marginals(a, b, kernel, fixed, init=init))
+                move = max(np.max(np.abs(runs[-1].log_u - runs[-2].log_u)),
+                           np.max(np.abs(runs[-1].log_v - runs[-2].log_v)))
+                first.update({tol: len(runs) - 1 for tol in tols if move < tol and tol not in first})
+                assert len(runs) < 500
+            for tol, k in first.items():
+                params = SinkhornParams(mu=mu, gamma=gamma, max_iter=10**6, tol=tol)
+                stopped = compute_frame_marginals(a, b, kernel, params, init=init)
+                for got, want in zip(stopped, runs[k]):
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("backend", ["dense", "kron"])
+    @pytest.mark.parametrize(
+        "log_scale, gamma", [(0.0, 10.0), (700.0, 10.0), (700.0, 1e6), (-700.0, 1e6)]
+    )
+    def test_marginals_match_materialized_kernel(self, backend, log_scale, gamma):
+        # at the default budget, warm-started as run_sdilrma calls it;
+        # masses near exp(+-700) leave double range unless every
+        # product stays in the log domain
+        rng = np.random.default_rng(23)
+        a = np.exp(log_scale) * rng.uniform(0.2, 3.0, size=(12, 4))
+        b = np.exp(log_scale) * rng.uniform(0.2, 3.0, size=(12, 4))
+        if gamma > 1e3:
+            # equal masses: else the log scalings reach gamma*mu/2 times
+            # the log mass ratio and rounding alone exceeds the rtol
+            b *= a.sum(axis=0) / b.sum(axis=0)
+        params = SinkhornParams(gamma=gamma, eps_floor=np.finfo(np.float64).tiny)
+        kernel = _backend_kernel(backend, params.mu)
+        dense = kernel.materialize() if backend == "kron" else kernel
+        init = compute_frame_marginals(0.5 * a, b, kernel, params)
+        marg = compute_frame_marginals(a, b, kernel, params, init=init)
+        for x in marg:
+            assert np.all(np.isfinite(x))
+        row, col = dense_marginals(marg.log_u, dense, marg.log_v)
+        np.testing.assert_allclose(marg.row, row, rtol=1e-12)
+        np.testing.assert_allclose(marg.col, col, rtol=1e-12)
 
     @pytest.mark.parametrize(
         "backend, gamma",
