@@ -3,7 +3,9 @@
 The STFT turns time-domain convolutive mixtures into per-frequency
 instantaneous mixtures; the ISTFT resynthesizes separated spectrograms.
 Both directions are exact inverses of each other on the original sample
-range (weighted overlap-add with per-sample normalization).
+range (weighted overlap-add with per-sample normalization). The analysis
+window is a periodic Hann built in numpy; scipy is imported only by the
+WAV reader and writer, on first use.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import get_window
 
 from .errors import UnsupportedWavError, WavFormatError
 
@@ -63,6 +63,7 @@ class StftConfig:
     The FFT length equals ``window_len``; the one-sided spectrum has
     ``window_len // 2 + 1`` bins. The window/hop pair must satisfy
     constant overlap-add so that every sample is uniformly weighted.
+    The only window is the periodic Hann (``window="hann"``).
     """
 
     window_len: int = 1024
@@ -70,6 +71,8 @@ class StftConfig:
     window: str = "hann"
 
     def __post_init__(self):
+        if self.window != "hann":
+            raise ValueError(f"unknown window {self.window!r}; only 'hann' is supported")
         if self.window_len < 2 or (self.window_len & (self.window_len - 1)) != 0:
             raise ValueError("window_len must be a power of two >= 2")
         if not 0 < self.hop <= self.window_len:
@@ -90,7 +93,14 @@ class StftConfig:
         return self.window_len // 2 + 1
 
     def taper(self) -> np.ndarray:
-        return get_window(self.window, self.window_len, fftbins=True).astype(np.float64)
+        """Periodic Hann window of ``window_len`` samples.
+
+        The symmetric window of ``window_len + 1`` points without its last
+        sample, in the same arithmetic as scipy's ``general_cosine``, so it
+        is bit-identical to ``get_window("hann", window_len, fftbins=True)``.
+        """
+        fac = np.linspace(-np.pi, np.pi, self.window_len + 1)
+        return (0.5 + 0.5 * np.cos(fac))[:-1]
 
 
 def _ola(taper: np.ndarray, hop: int) -> np.ndarray:
@@ -148,6 +158,8 @@ def read_wav(path) -> TimeSignal:
     UnsupportedWavError
         If the encoding is neither PCM16 nor IEEE float32.
     """
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
@@ -176,6 +188,8 @@ def write_wav(path, sig: TimeSignal, encoding: str = "float32") -> None:
     so 0.5 maps to 16384. float32 writes are bit-exact for data already
     representable in single precision.
     """
+    from scipy.io import wavfile
+
     if not np.all(np.isfinite(sig.samples)):
         raise ValueError("signal contains non-finite samples")
     data = sig.samples.T  # (samples, channels) for wavfile

@@ -18,7 +18,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +374,9 @@ def cmd_benchmark(args) -> int:
     cells = [(t60, trial) for t60 in plan["t60_grid"] for trial in range(plan["trials"])]
     rows = []
     if args.jobs > 1:
+        # imported here: it loads multiprocessing, which no other verb needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_run_cell, plan, t60, trial) for t60, trial in cells]
             for future in futures:

@@ -242,19 +242,18 @@ def normalize(demixing: np.ndarray, models: list, estimates: np.ndarray):
     if len(models) != n_src or demixing.shape[1] != n_src:
         raise ValueError("models, demixing, and estimates disagree on source count")
     rho = np.sqrt(np.mean(np.abs(est) ** 2, axis=(1, 2)))
-    out_d = demixing.copy()
-    out_est = est.copy()
     out_models = []
     for n, model in enumerate(models):
         if rho[n] == 0:
             warnings.warn(f"source {n} has zero power; normalization skipped")
             out_models.append(model)
             continue
-        out_d[:, n, :] /= rho[n]
-        out_est[n] /= rho[n]
         out_models.append(
             NmfModel(model.basis / rho[n] ** 2, model.activation, model.floor)
         )
+    rho[rho == 0] = 1.0
+    out_d = demixing / rho[None, :, None]
+    out_est = est / rho[:, None, None]
     return out_d, out_models, out_est
 
 
@@ -397,8 +396,8 @@ def run_ilrma(
     data, demixing, estimates, models = _prepare(mixture, cfg, n_sources)
     n_src = estimates.shape[0]
     trace = []
+    power = np.abs(estimates) ** 2
     for it in range(cfg.outer_iters):
-        power = np.abs(estimates) ** 2
         models = [is_update(models[n], power[n]) for n in range(n_src)]
         lam = np.stack([variance(m) for m in models])
         demixing = ip_update(demixing, data, lam)
@@ -406,8 +405,10 @@ def run_ilrma(
         source_power = tuple(np.mean(np.abs(estimates) ** 2, axis=(1, 2)).tolist())
         demixing, models, estimates = normalize(demixing, models, estimates)
         lam = np.stack([variance(m) for m in models])
+        # the next iteration's model update reads the same power
+        power = np.abs(estimates) ** 2
         # raises DemixingNumericError once a D_f is singular
-        objective = ilrma_objective(np.abs(estimates) ** 2, lam, demixing)
+        objective = ilrma_objective(power, lam, demixing)
         trace.append(IterationRecord(it + 1, objective, source_power))
     return _finish(mixture, cfg, demixing, estimates, trace)
 

@@ -5,7 +5,9 @@ onto spans of time-shifted references (time-invariant FIR projection,
 512 taps): the part explained by the matched reference is the target,
 the extra part explained by the other references is interference, and
 the remainder is artifact. Metrics are reported under the estimate
-permutation that maximizes the mean SIR.
+permutation that maximizes the mean SIR. Everything is numpy: the
+Toeplitz blocks of the Gram are copied out of FFT correlations by index,
+and each Gram is solved once per call for all estimates together.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .audio import TimeSignal
 
@@ -78,28 +79,23 @@ def _as_mono(signals, what: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _shifted_gram(refs: np.ndarray, n_fft: int, flen: int) -> tuple:
-    """Gram matrix of all time-shifted references, assembled per block."""
-    n_src = refs.shape[0]
-    spectra = np.fft.rfft(refs, n_fft, axis=1)
+def _shifted_gram(spectra: np.ndarray, n_fft: int, flen: int) -> np.ndarray:
+    """Gram matrix of all time-shifted references, assembled per block.
+
+    Block (i, j) is Toeplitz: entry (k, l) is the correlation of
+    references i and j at lag l - k, copied out of one circular
+    correlation by index.
+    """
+    n_src = spectra.shape[0]
+    lags = np.arange(flen)
+    shift = lags[None, :] - lags[:, None]
     gram = np.zeros((n_src * flen, n_src * flen))
     for i in range(n_src):
         for j in range(i, n_src):
-            corr = np.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft)
-            block = toeplitz(np.hstack((corr[0], corr[-1 : -flen : -1])), corr[:flen])
+            block = np.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft)[shift]
             gram[i * flen : (i + 1) * flen, j * flen : (j + 1) * flen] = block
             gram[j * flen : (j + 1) * flen, i * flen : (i + 1) * flen] = block.T
-    return gram, spectra
-
-
-def _cross_corr(spectra: np.ndarray, est: np.ndarray, n_fft: int, flen: int) -> np.ndarray:
-    """Stacked correlations of the estimate with each shifted reference."""
-    est_spec = np.fft.rfft(est, n_fft)
-    out = np.empty((spectra.shape[0], flen))
-    for i in range(spectra.shape[0]):
-        corr = np.fft.irfft(spectra[i] * np.conj(est_spec), n_fft)
-        out[i] = np.hstack((corr[0], corr[-1 : -flen : -1]))
-    return out
+    return gram
 
 
 def _solve_coeffs(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -109,17 +105,10 @@ def _solve_coeffs(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
-def _filter_sum(
-    spectra: np.ndarray, coeffs: np.ndarray, flen: int, out_len: int, n_fft: int
-) -> np.ndarray:
-    """Sum of FIR-filtered references with the projection coefficients."""
-    acc = np.zeros(out_len)
-    for i in range(spectra.shape[0]):
-        seg = np.fft.irfft(
-            spectra[i] * np.fft.rfft(coeffs[i * flen : (i + 1) * flen], n_fft), n_fft
-        )
-        acc += seg[:out_len]
-    return acc
+def _filtered(spectra: np.ndarray, coeffs: np.ndarray, n_fft: int, out_len: int) -> np.ndarray:
+    """Reference j filtered by coeffs[j, :, i], as out[j, i]."""
+    taps = np.fft.rfft(coeffs, n_fft, axis=1).transpose(0, 2, 1)
+    return np.fft.irfft(spectra[:, None, :] * taps, n_fft)[..., :out_len]
 
 
 def _db(num: float, den: float, clamp: float) -> float:
@@ -129,6 +118,47 @@ def _db(num: float, den: float, clamp: float) -> float:
     if den <= tiny:
         return clamp
     return float(np.clip(10.0 * np.log10(num / den), -clamp, clamp))
+
+
+def _scores(est: np.ndarray, refs: np.ndarray, flen: int) -> tuple:
+    """SDR and SIR in dB of every (estimate i, reference j) pair, as [i, j].
+
+    The cross-correlations of all estimates are the columns of one
+    right-hand side, so the full Gram and each diagonal block are
+    factorized once per call.
+    """
+    n_src, n_samples = refs.shape
+    out_len = n_samples + flen - 1
+    n_fft = 1 << int(np.ceil(np.log2(out_len)))
+    spectra = np.fft.rfft(refs, n_fft, axis=1)
+    gram = _shifted_gram(spectra, n_fft, flen)
+    # rhs[j, :, i]: correlation of estimate i with reference j at lags 0..flen-1
+    est_spectra = np.fft.rfft(est, n_fft, axis=1)
+    corr = np.fft.irfft(spectra[:, None, :] * np.conj(est_spectra), n_fft)
+    rhs = corr[:, :, -np.arange(flen)].transpose(0, 2, 1)
+
+    coeff_all = _solve_coeffs(gram, rhs.reshape(n_src * flen, n_src))
+    proj_all = _filtered(spectra, coeff_all.reshape(n_src, flen, n_src), n_fft, out_len).sum(axis=0)
+    coeff_own = np.stack(
+        [
+            _solve_coeffs(gram[j * flen : (j + 1) * flen, j * flen : (j + 1) * flen], rhs[j])
+            for j in range(n_src)
+        ]
+    )
+    target = _filtered(spectra, coeff_own, n_fft, out_len)
+    padded = np.zeros((n_src, out_len))
+    padded[:, :n_samples] = est
+
+    sdr = np.empty((n_src, n_src))
+    sir = np.empty((n_src, n_src))
+    for i in range(n_src):
+        artif = padded[i] - proj_all[i]
+        for j in range(n_src):
+            interf = proj_all[i] - target[j, i]
+            t_energy = float(np.sum(target[j, i] ** 2))
+            sdr[i, j] = _db(t_energy, float(np.sum((interf + artif) ** 2)), CLAMP_DB)
+            sir[i, j] = _db(t_energy, float(np.sum(interf**2)), CLAMP_DB)
+    return sdr, sir
 
 
 def sdr_sir(estimates, references, filter_len: int = FILTER_LEN) -> EvalResult:
@@ -149,29 +179,8 @@ def sdr_sir(estimates, references, filter_len: int = FILTER_LEN) -> EvalResult:
     energies = np.sum(refs**2, axis=1)
     if np.any(energies == 0):
         raise ValueError("zero-energy reference")
-    n_src, n_samples = refs.shape
-    flen = int(filter_len)
-    out_len = n_samples + flen - 1
-    n_fft = 1 << int(np.ceil(np.log2(out_len)))
-    gram_all, spectra = _shifted_gram(refs, n_fft, flen)
-
-    sdr = np.empty((n_src, n_src))
-    sir = np.empty((n_src, n_src))
-    for i in range(n_src):
-        rhs = _cross_corr(spectra, est[i], n_fft, flen)
-        proj_all = _filter_sum(
-            spectra, _solve_coeffs(gram_all, rhs.reshape(-1)), flen, out_len, n_fft
-        )
-        padded = np.concatenate((est[i], np.zeros(flen - 1)))
-        for j in range(n_src):
-            block = gram_all[j * flen : (j + 1) * flen, j * flen : (j + 1) * flen]
-            coeff = _solve_coeffs(block, rhs[j])
-            target = np.fft.irfft(spectra[j] * np.fft.rfft(coeff, n_fft), n_fft)[:out_len]
-            interf = proj_all - target
-            artif = padded - proj_all
-            t_energy = float(np.sum(target**2))
-            sdr[i, j] = _db(t_energy, float(np.sum((interf + artif) ** 2)), CLAMP_DB)
-            sir[i, j] = _db(t_energy, float(np.sum(interf**2)), CLAMP_DB)
+    n_src = refs.shape[0]
+    sdr, sir = _scores(est, refs, int(filter_len))
 
     best_perm = None
     best_mean = -np.inf

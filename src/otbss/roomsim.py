@@ -4,17 +4,19 @@ Rooms are rectangular with uniform wall absorption derived from the
 requested reverberation time by Sabine's formula. Impulse responses come
 from the image source method with fractional delays realized as
 Hann-windowed sinc pulses; mixtures are full linear convolutions of the
-per-(source, mic) impulse responses with the dry source signals.
+per-(source, mic) impulse responses with the dry source signals. Both
+the convolutions and the peak filters of the speech-like test signal
+are products on a zero-padded numpy FFT grid; no scipy module is used.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .audio import TimeSignal
 from .errors import DegenerateGeometryError
@@ -248,12 +250,14 @@ def convolve_mix(sources, rir: Rir):
             raise ValueError("sources must be single-channel")
 
     n_samples = lengths.pop()
-    images = []
-    for n, src in enumerate(sources):
-        img = np.empty((rir.n_mics, n_samples))
-        for m in range(rir.n_mics):
-            img[m] = sps.fftconvolve(src.samples[0], rir.taps[n, m])[:n_samples]
-        images.append(TimeSignal(samples=img, sample_rate=rir.sample_rate))
+    # the full linear convolution fits in n_fft, so nothing wraps around
+    n_fft = 1 << int(np.ceil(np.log2(n_samples + rir.length - 1)))
+    dry = np.fft.rfft(np.vstack([s.samples[0] for s in sources]), n_fft)
+    wet = np.fft.irfft(dry[:, None, :] * np.fft.rfft(rir.taps, n_fft), n_fft)
+    images = [
+        TimeSignal(samples=wet[n, :, :n_samples], sample_rate=rir.sample_rate)
+        for n in range(rir.n_sources)
+    ]
     mix = images[0].samples.copy()
     for img in images[1:]:
         mix += img.samples
@@ -320,6 +324,29 @@ def _control_curve(rng, n: int, fs: int, knot_ms: float, lo: float, hi: float) -
     return np.interp(np.arange(n), np.arange(n_knots) * step, knots)
 
 
+def _peak_filter(x: np.ndarray, freq: float, q: float, fs: int) -> np.ndarray:
+    """Second-order IIR peak filter at ``freq`` Hz with quality factor q.
+
+    The coefficients are the closed form of ``scipy.signal.iirpeak``, in
+    the same arithmetic. The filter is applied as B/A on the rfft grid of
+    a length n >= len(x) + tail, where tail is the number of samples
+    after which r**tail < eps for the largest pole radius r. This equals
+    ``lfilter(b, a, x)`` to rounding because the filter is stable
+    (r < 1) and its response to x has died out within the padding, so
+    the circular product wraps nothing above eps back onto x.
+    """
+    w0 = 2.0 * float(freq) / fs
+    bw = w0 / float(q) * np.pi
+    gain = 1.0 / (1.0 + math.tan(bw / 2.0))
+    b = (1.0 - gain) * np.array([1.0, 0.0, -1.0])
+    a = np.array([1.0, -2.0 * gain * math.cos(w0 * np.pi), 2.0 * gain - 1.0])
+    radius = np.max(np.abs(np.roots(a)))
+    tail = int(np.ceil(np.log(np.finfo(np.float64).eps) / np.log(radius)))
+    n_fft = 1 << int(np.ceil(np.log2(len(x) + tail)))
+    response = np.fft.rfft(b, n_fft) / np.fft.rfft(a, n_fft)
+    return np.fft.irfft(np.fft.rfft(x, n_fft) * response, n_fft)[: len(x)]
+
+
 def synth_speech(duration: float, sample_rate: int = 16000, seed: int = 0) -> TimeSignal:
     """Speech-like test signal: harmonics under a syllabic envelope.
 
@@ -346,8 +373,7 @@ def synth_speech(duration: float, sample_rate: int = 16000, seed: int = 0) -> Ti
     noise = rng.standard_normal(n)
     for _ in range(2):
         freq = rng.uniform(500.0, 3200.0)
-        b, a = sps.iirpeak(freq, Q=6.0, fs=fs)
-        noise = sps.lfilter(b, a, noise)
+        noise = _peak_filter(noise, freq, 6.0, fs)
     noise /= max(np.max(np.abs(noise)), 1e-12)
 
     env = _control_curve(rng, n, fs, 140.0, 0.0, 1.0) ** 2

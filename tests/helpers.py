@@ -7,7 +7,10 @@ the terminal summary replays after the run.
 """
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.special import logsumexp, xlogy
+
+from otbss.metrics import CLAMP_DB, _db
 
 ACCEPTANCE_VERDICTS = []
 
@@ -99,3 +102,56 @@ def dense_plan_objective(plan, a, b, cost, params) -> float:
     row, col = plan.sum(axis=1), plan.sum(axis=0)
     kl = np.sum(xlogy(row, row / a) - row + a) + np.sum(xlogy(col, col / b) - col + b)
     return float(np.sum(plan * cost) + np.sum(xlogy(plan, plan)) / params.mu + params.gamma * kl)
+
+
+def reference_sdr_sir_scores(est, refs, flen):
+    """SDR and SIR in dB of every (estimate i, reference j) pair, as [i, j].
+
+    The per-estimate projection: scipy Toeplitz blocks, one solve of the
+    full Gram per estimate and one of each diagonal block per
+    (estimate, reference) pair, lstsq when a solve finds the Gram
+    singular. Same clamping as ``otbss.metrics``.
+    """
+    est = np.asarray(est, dtype=np.float64)
+    refs = np.asarray(refs, dtype=np.float64)
+    n_src, n_samples = refs.shape
+    out_len = n_samples + flen - 1
+    n_fft = 1 << int(np.ceil(np.log2(out_len)))
+    spectra = np.fft.rfft(refs, n_fft, axis=1)
+    gram = np.zeros((n_src * flen, n_src * flen))
+    for i in range(n_src):
+        for j in range(i, n_src):
+            corr = np.fft.irfft(spectra[i] * np.conj(spectra[j]), n_fft)
+            block = toeplitz(np.hstack((corr[0], corr[-1 : -flen : -1])), corr[:flen])
+            gram[i * flen : (i + 1) * flen, j * flen : (j + 1) * flen] = block
+            gram[j * flen : (j + 1) * flen, i * flen : (i + 1) * flen] = block.T
+
+    def solve(matrix, rhs):
+        try:
+            return np.linalg.solve(matrix, rhs)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+
+    def filtered(j, coeff):
+        return np.fft.irfft(spectra[j] * np.fft.rfft(coeff, n_fft), n_fft)[:out_len]
+
+    sdr = np.empty((n_src, n_src))
+    sir = np.empty((n_src, n_src))
+    for i in range(n_src):
+        est_spec = np.fft.rfft(est[i], n_fft)
+        rhs = np.empty((n_src, flen))
+        for j in range(n_src):
+            corr = np.fft.irfft(spectra[j] * np.conj(est_spec), n_fft)
+            rhs[j] = np.hstack((corr[0], corr[-1 : -flen : -1]))
+        coeff_all = solve(gram, rhs.reshape(-1))
+        proj_all = sum(filtered(j, coeff_all[j * flen : (j + 1) * flen]) for j in range(n_src))
+        padded = np.concatenate((est[i], np.zeros(flen - 1)))
+        for j in range(n_src):
+            block = gram[j * flen : (j + 1) * flen, j * flen : (j + 1) * flen]
+            target = filtered(j, solve(block, rhs[j]))
+            interf = proj_all - target
+            artif = padded - proj_all
+            t_energy = float(np.sum(target**2))
+            sdr[i, j] = _db(t_energy, float(np.sum((interf + artif) ** 2)), CLAMP_DB)
+            sir[i, j] = _db(t_energy, float(np.sum(interf**2)), CLAMP_DB)
+    return sdr, sir

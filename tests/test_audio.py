@@ -3,11 +3,14 @@
 Oracle values: PCM16 quantization checked against hand-computed integer
 codes; the STFT frame content checked against a direct DFT summation on
 an independently windowed frame; Parseval energy checked against direct
-summation on both sides.
+summation on both sides; the Hann window checked bit for bit against
+scipy's ``get_window``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otbss.audio import (
     PCM16_SCALE,
@@ -125,6 +128,20 @@ class TestStftConfig:
         np.add.at(acc, np.arange(cfg.window_len) % cfg.hop, taper)
         np.testing.assert_allclose(acc, 2.0, atol=1e-12)
 
+    @pytest.mark.parametrize("window_len", [2**k for k in range(1, 13)])
+    def test_taper_is_scipy_periodic_hann(self, window_len):
+        from scipy.signal import get_window
+
+        taper = StftConfig(window_len=window_len, hop=window_len // 2).taper()
+        expected = get_window("hann", window_len, fftbins=True)
+        assert taper.dtype == expected.dtype
+        np.testing.assert_array_equal(taper, expected)
+
+    @pytest.mark.parametrize("window", ["hamming", "boxcar", "Hann"])
+    def test_rejects_other_windows(self, window):
+        with pytest.raises(ValueError, match="window"):
+            StftConfig(window=window)
+
 
 class TestStft:
     def test_shapes_and_metadata(self):
@@ -210,6 +227,23 @@ class TestIstft:
         out = istft(stft(sig, cfg), cfg)
         assert out.n_samples == n
         np.testing.assert_allclose(out.samples, sig.samples, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_len=st.integers(1, 10),
+        hop_shift=st.integers(1, 10),
+        n=st.integers(1, 5000),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_any_length_and_cola_hop(self, log_len, hop_shift, n, channels, seed):
+        # the periodic Hann is COLA at every hop L / 2**k, down to one sample
+        window_len = 2**log_len
+        cfg = StftConfig(window_len=window_len, hop=window_len >> min(hop_shift, log_len))
+        x = np.random.default_rng(seed).standard_normal((channels, n))
+        out = istft(stft(TimeSignal(x, 16000), cfg), cfg)
+        assert out.n_samples == n
+        np.testing.assert_allclose(out.samples, x, rtol=0, atol=1e-12)
 
     def test_round_trip_default_config(self):
         rng = np.random.default_rng(9)

@@ -7,11 +7,17 @@ pinned at the clamp value, and hand-counted benchmark CSV rows.
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otbss
 from otbss.audio import read_wav
 from otbss.cli import EXIT_CONFIG, EXIT_OK, main
 
@@ -343,3 +349,33 @@ class TestParser:
         out = capsys.readouterr().out
         for verb in ("simulate", "separate", "evaluate", "benchmark"):
             assert verb in out
+
+
+class TestImports:
+    def test_separation_path_loads_no_scipy(self):
+        # a fresh interpreter: this test process has scipy loaded already
+        script = textwrap.dedent(
+            """
+            import sys
+            import otbss.cli as cli
+            from otbss import audio, engine, metrics
+
+            scene = {"t60": 0.2, "angle1": 40.0, "angle2": -40.0, "duration": 0.5,
+                     "sample_rate": 16000, "seed": 3}
+            mixture, _, refs = cli._simulate_scene(scene)
+            spec = audio.stft(mixture)
+            cfg = engine.SeparationConfig(method="ilrma", outer_iters=3)
+            images = audio.istft(engine.separate(spec, cfg, n_sources=2).images)
+            scored = metrics.sdr_sir(
+                [audio.TimeSignal(images.samples[n : n + 1], 16000) for n in range(2)], refs
+            )
+            print(len(scored.sdr), sorted(m for m in sys.modules if m.startswith("scipy")))
+            """
+        )
+        src = str(Path(otbss.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "[]"]

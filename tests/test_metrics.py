@@ -2,15 +2,19 @@
 
 Independent oracles: estimates built as reference-plus-scaled-noise at
 an exact energy ratio, short-filtered references that a 512-tap
-projection must absorb completely, and hand-permuted inputs whose
-scores must not move.
+projection must absorb completely, hand-permuted inputs whose scores
+must not move, and the per-estimate projection with scipy Toeplitz
+blocks (``helpers.reference_sdr_sir_scores``).
 """
 
 import numpy as np
 import pytest
+from helpers import reference_sdr_sir_scores
 
+from otbss import metrics
 from otbss.audio import TimeSignal
 from otbss.metrics import CLAMP_DB, FILTER_LEN, EvalResult, improvement, sdr_sir
+from otbss.roomsim import synth_speech
 
 
 def _tones(n=4000, fs=8000, freqs=(440.0, 1180.0)):
@@ -108,6 +112,43 @@ class TestPermutation:
         assert result.permutation == (1, 0)
         assert result.sdr[0] == pytest.approx(18.0, abs=0.5)
         assert result.sdr[1] == pytest.approx(12.0, abs=0.5)
+
+
+class TestAgainstPerEstimateProjection:
+    """All pairs solved together score every pair as one solve per pair does."""
+
+    @staticmethod
+    def _assert_scores_match(est, refs):
+        sdr, sir = metrics._scores(est, refs, FILTER_LEN)
+        ref_sdr, ref_sir = reference_sdr_sir_scores(est, refs, FILTER_LEN)
+        np.testing.assert_allclose(sdr, ref_sdr, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(sir, ref_sir, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_src", [1, 2, 3])
+    def test_random_signals(self, n_src):
+        rng = np.random.default_rng(n_src)
+        refs = rng.standard_normal((n_src, 3000))
+        est = rng.uniform(0.2, 1.0, (n_src, n_src)) @ refs + 0.3 * rng.standard_normal((n_src, 3000))
+        self._assert_scores_match(est, refs)
+
+    def test_speech_signals(self):
+        refs = np.vstack([synth_speech(0.5, 16000, seed=s).samples for s in (11, 12)])
+        taps = np.array([1.0, 0.0, 0.0, -0.4, 0.0, 0.2])
+        leak = np.array([np.convolve(r, taps)[: refs.shape[1]] for r in refs[::-1]])
+        est = refs + 0.3 * leak
+        self._assert_scores_match(est, refs)
+
+    def test_singular_gram_falls_back_to_lstsq(self):
+        # both references are the same unit impulse: the full Gram is
+        # [[I, I], [I, I]] to the last bit, so the solve finds it singular
+        refs = np.zeros((2, 2000))
+        refs[:, 0] = 1.0
+        n_fft = 1 << int(np.ceil(np.log2(2000 + FILTER_LEN - 1)))
+        gram = metrics._shifted_gram(np.fft.rfft(refs, n_fft, axis=1), n_fft, FILTER_LEN)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(gram, np.ones(2 * FILTER_LEN))
+        est = np.random.default_rng(7).standard_normal((2, 2000))
+        self._assert_scores_match(est, refs)
 
 
 class TestImprovement:

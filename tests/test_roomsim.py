@@ -1,9 +1,14 @@
-"""Room simulator checks: Sabine values, image-method physics, mixing."""
+"""Room simulator checks: Sabine values, image-method physics, mixing.
+
+The FFT convolution and the FFT peak filter are checked against
+scipy's ``fftconvolve`` and ``lfilter(*iirpeak(...))``.
+"""
 
 import numpy as np
 import pytest
 from helpers import schroeder_t60
 
+from otbss import roomsim
 from otbss.audio import TimeSignal
 from otbss.errors import DegenerateGeometryError
 from otbss.roomsim import (
@@ -215,6 +220,20 @@ class TestConvolveMix:
             mix_s.samples, 2.0 * mix_a.samples - mix_b.samples, atol=1e-10
         )
 
+    @pytest.mark.parametrize("n_samples", [300, 4000, 32000])
+    def test_matches_scipy_fftconvolve(self, n_samples):
+        from scipy.signal import fftconvolve
+
+        rir = image_source_rir(make_scene_sisec(t60=0.3, angle1=60.0, angle2=-60.0))
+        rng = np.random.default_rng(n_samples)
+        srcs = [TimeSignal(rng.standard_normal((1, n_samples)), 16000) for _ in range(2)]
+        _, images = convolve_mix(srcs, rir)
+        for n, img in enumerate(images):
+            for m in range(rir.n_mics):
+                expected = fftconvolve(srcs[n].samples[0], rir.taps[n, m])[:n_samples]
+                err = np.max(np.abs(img.samples[m] - expected))
+                assert err <= 1e-13 * np.max(np.abs(expected))
+
     def test_length_mismatch_rejected(self):
         fs = 8000
         s1 = TimeSignal(np.zeros((1, 100)), fs)
@@ -289,3 +308,16 @@ class TestSynthSpeech:
         frames = sig[: len(sig) // 800 * 800].reshape(-1, 800)
         energies = np.sum(frames**2, axis=1)
         assert energies.min() < 0.1 * energies.max()
+
+
+class TestPeakFilter:
+    @pytest.mark.parametrize("freq", [500.0, 1234.5, 3200.0])
+    @pytest.mark.parametrize("n", [1, 2, 100, 32000])
+    def test_matches_scipy_lfilter(self, freq, n):
+        from scipy.signal import iirpeak, lfilter
+
+        x = np.random.default_rng(n).standard_normal(n)
+        expected = lfilter(*iirpeak(freq, 6.0, fs=16000), x)
+        got = roomsim._peak_filter(x, freq, 6.0, 16000)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
