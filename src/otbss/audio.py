@@ -10,7 +10,7 @@ WAV reader and writer, on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,16 +63,13 @@ class StftConfig:
     The FFT length equals ``window_len``; the one-sided spectrum has
     ``window_len // 2 + 1`` bins. The window/hop pair must satisfy
     constant overlap-add so that every sample is uniformly weighted.
-    The only window is the periodic Hann (``window="hann"``).
+    The window is always the periodic Hann of ``taper``.
     """
 
     window_len: int = 1024
     hop: int = 256
-    window: str = "hann"
 
     def __post_init__(self):
-        if self.window != "hann":
-            raise ValueError(f"unknown window {self.window!r}; only 'hann' is supported")
         if self.window_len < 2 or (self.window_len & (self.window_len - 1)) != 0:
             raise ValueError("window_len must be a power of two >= 2")
         if not 0 < self.hop <= self.window_len:
@@ -81,7 +78,7 @@ class StftConfig:
         dev = np.max(np.abs(cola - np.mean(cola)))
         if dev > _COLA_TOL * max(np.mean(cola), 1e-12):
             raise ValueError(
-                f"window {self.window!r} with hop {self.hop} is not constant-overlap-add"
+                f"Hann window with hop {self.hop} is not constant-overlap-add"
             )
 
     @property
@@ -123,7 +120,6 @@ class Spectrogram:
     hop: int
     sample_rate: int
     original_length: int
-    window: str = "hann"
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
@@ -235,7 +231,6 @@ def stft(sig: TimeSignal, cfg: StftConfig = StftConfig()) -> Spectrogram:
         hop=hop,
         sample_rate=sig.sample_rate,
         original_length=n,
-        window=cfg.window,
     )
 
 
@@ -247,8 +242,8 @@ def istft(spec: Spectrogram, cfg: StftConfig | None = None) -> TimeSignal:
     reproduce ``x`` exactly (up to rounding) on the original sample range.
     """
     if cfg is None:
-        cfg = StftConfig(window_len=spec.window_len, hop=spec.hop, window=spec.window)
-    if (cfg.window_len, cfg.hop, cfg.window) != (spec.window_len, spec.hop, spec.window):
+        cfg = StftConfig(window_len=spec.window_len, hop=spec.hop)
+    if (cfg.window_len, cfg.hop) != (spec.window_len, spec.hop):
         raise ValueError("StftConfig does not match the Spectrogram metadata")
     L, hop = cfg.window_len, cfg.hop
     n = spec.original_length

@@ -1,11 +1,14 @@
-"""Determined blind source separation loops: ILRMA and SDILRMA.
+"""Determined blind source separation: ILRMA and SDILRMA in one loop.
 
-Both methods alternate per-source variance-model updates with
-per-frequency demixing updates by iterative projection. Plain ILRMA
-fits each model to the demixed power spectra directly; SDILRMA fits it
-to per-frame optimal-transport marginals between the demixed power and
-the modeled variance, which couples frequency bins through the
-transport cost. The marginals come from the one transport solver,
+Both methods run the same outer loop in ``separate``: per-source
+variance-model updates alternate with per-frequency demixing updates
+by iterative projection, a renormalization, and a trace record. The
+method picks only the target the models are fitted to and the
+objective the trace records. Plain ILRMA fits each model to the
+demixed power spectra directly; SDILRMA fits it to per-frame
+optimal-transport marginals between the demixed power and the modeled
+variance, which couples frequency bins through the transport cost. The
+marginals come from the one transport solver,
 ``sinkhorn.compute_frame_marginals``, over a dense Gibbs kernel or a
 Kronecker-factorized kernel that never materializes the F x F plan.
 They are not converged: each outer iteration's solve is warm-started
@@ -47,7 +50,8 @@ class SeparationConfig:
     count automatically when it is omitted, and the dense method then
     uses the exact quadratic cost instead of the separable surrogate.
     ``verbatim_updates`` switches the transport-driven model update to
-    the variant whose denominators sum the transported mass itself.
+    the variant whose denominators sum the transported mass itself; it
+    is rejected for ``ilrma``, which has no transported mass.
     """
 
     method: str = "ilrma"
@@ -74,10 +78,21 @@ class SeparationConfig:
             if any(d < 1 for d in dims):
                 raise ValueError("kron_dims must be positive")
             object.__setattr__(self, "kron_dims", dims)
+        if self.verbatim_updates and self.method == "ilrma":
+            raise ValueError("verbatim_updates applies only to the sdilrma methods")
 
 
 class IterationRecord(NamedTuple):
-    """One outer iteration of the trace: objective plus source powers."""
+    """One outer iteration of the trace: objective plus source powers.
+
+    For ``ilrma``, ``objective`` is the demixed-model log-likelihood
+    (``ilrma_objective``), taken after normalize; larger is better, and
+    it never decreases. For the ``sdilrma`` methods it is the summed
+    relaxed transport objective of the solve at the start of the
+    iteration, before that iteration's model and demixing updates;
+    smaller is better. ``source_power`` is the mean demixed power of
+    each source before normalize.
+    """
 
     iteration: int
     objective: float
@@ -135,7 +150,6 @@ def _like(spec: Spectrogram, data: np.ndarray) -> Spectrogram:
         hop=spec.hop,
         sample_rate=spec.sample_rate,
         original_length=spec.original_length,
-        window=spec.window,
     )
 
 
@@ -229,19 +243,21 @@ def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray) -> np.ndarra
     return out
 
 
-def normalize(demixing: np.ndarray, models: list, estimates: np.ndarray):
+def normalize(demixing: np.ndarray, models: list, estimates: np.ndarray, power: np.ndarray):
     """Rescale each source to unit mean power without changing the fit.
 
-    Row n of every D_f, the demixed spectra of source n, and the basis
-    rows of model n are scaled by 1/rho_n, 1/rho_n, and 1/rho_n^2 with
-    rho_n^2 the mean demixed power, so the demixed-model likelihood is
-    untouched. Zero-power sources are left alone with a warning.
+    ``power`` is the mean demixed power of each source, the mean of
+    |estimates|^2 over bins and frames. Row n of every D_f, the demixed
+    spectra of source n, and the basis rows of model n are scaled by
+    1/rho_n, 1/rho_n, and 1/rho_n^2 with rho_n^2 = power[n], so the
+    demixed-model likelihood is untouched. Zero-power sources are left
+    alone with a warning.
     """
     est = np.asarray(estimates, dtype=np.complex128)
     n_src = est.shape[0]
-    if len(models) != n_src or demixing.shape[1] != n_src:
-        raise ValueError("models, demixing, and estimates disagree on source count")
-    rho = np.sqrt(np.mean(np.abs(est) ** 2, axis=(1, 2)))
+    if len(models) != n_src or demixing.shape[1] != n_src or np.shape(power) != (n_src,):
+        raise ValueError("models, demixing, estimates, and power disagree on source count")
+    rho = np.sqrt(power)
     out_models = []
     for n, model in enumerate(models):
         if rho[n] == 0:
@@ -374,47 +390,8 @@ def _prepare(mixture: Spectrogram, cfg: SeparationConfig, n_sources):
     return data, demixing, estimates, models
 
 
-def _finish(mixture: Spectrogram, cfg, demixing, estimates, trace) -> SeparationResult:
-    images = back_project(estimates, demixing, cfg.ref_mic)
-    return SeparationResult(
-        estimates=_like(mixture, estimates),
-        images=_like(mixture, images),
-        demixing=demixing,
-        trace=tuple(trace),
-    )
-
-
-def run_ilrma(
-    mixture: Spectrogram, cfg: SeparationConfig = SeparationConfig(), n_sources=None
-) -> SeparationResult:
-    """ILRMA: variance models fitted to the demixed power spectra.
-
-    Each outer iteration updates every source model on |y_n|^2, sweeps
-    the demixing matrices by iterative projection, renormalizes, and
-    records the demixed-model log-likelihood.
-    """
-    data, demixing, estimates, models = _prepare(mixture, cfg, n_sources)
-    n_src = estimates.shape[0]
-    trace = []
-    power = np.abs(estimates) ** 2
-    for it in range(cfg.outer_iters):
-        models = [is_update(models[n], power[n]) for n in range(n_src)]
-        lam = np.stack([variance(m) for m in models])
-        demixing = ip_update(demixing, data, lam)
-        estimates = _demix(demixing, data)
-        source_power = tuple(np.mean(np.abs(estimates) ** 2, axis=(1, 2)).tolist())
-        demixing, models, estimates = normalize(demixing, models, estimates)
-        lam = np.stack([variance(m) for m in models])
-        # the next iteration's model update reads the same power
-        power = np.abs(estimates) ** 2
-        # raises DemixingNumericError once a D_f is singular
-        objective = ilrma_objective(power, lam, demixing)
-        trace.append(IterationRecord(it + 1, objective, source_power))
-    return _finish(mixture, cfg, demixing, estimates, trace)
-
-
 def _sd_kernel(n_bins: int, cfg: SeparationConfig):
-    """Kernel for the configured backend plus the dims actually used."""
+    """Gibbs kernel of the configured transport backend."""
     mu = cfg.sinkhorn.mu
     dims = cfg.kron_dims
     if dims is not None and int(np.prod(dims)) != n_bins:
@@ -434,61 +411,61 @@ def _sd_kernel(n_bins: int, cfg: SeparationConfig):
     return gibbs_kernel(build_cost_sq(n_bins), mu)
 
 
-def run_sdilrma(
-    mixture: Spectrogram, cfg: SeparationConfig, n_sources=None
-) -> SeparationResult:
-    """SDILRMA: variance models fitted to transport marginals.
-
-    Each outer iteration solves one relaxed transport problem per
-    (source, frame) between |y_n|^2 and the modeled variance, all
-    sources side by side in one batched solve over the shared kernel
-    (warm started from the previous iteration), feeds the row
-    marginals to the multiplicative model update, then proceeds as
-    ILRMA. The trace records the summed transport objective.
-    """
-    if cfg.method == "ilrma":
-        raise ValueError("run_sdilrma needs an sdilrma-dense or sdilrma-kron config")
-    data, demixing, estimates, models = _prepare(mixture, cfg, n_sources)
-    n_src, _, n_frames = estimates.shape
-    params = cfg.sinkhorn
-    kernel = _sd_kernel(data.shape[1], cfg)
-    cache = None
-    trace = []
-    for it in range(cfg.outer_iters):
-        # sources side by side: column n*T + t is frame t of source n
-        power = np.hstack(np.abs(estimates) ** 2)
-        lam = np.hstack([variance(m) for m in models])
-        try:
-            cache = compute_frame_marginals(power, lam, kernel, params, init=cache)
-        except SinkhornNumericError as err:
-            where = None if err.context is None else divmod(err.context, n_frames)
-            raise SinkhornNumericError(
-                f"marginal computation failed at (source, frame) {where}: {err}",
-                iteration=err.iteration,
-                context=where,
-            ) from err
-        objective = _transport_objective(cache, power, lam, params)
-        rows = np.hsplit(cache.row, n_src)
-        models = [
-            sd_update_source_model(models[n], rows[n], cfg.verbatim_updates)
-            for n in range(n_src)
-        ]
-        lam = np.stack([variance(m) for m in models])
-        demixing = ip_update(demixing, data, lam)
-        estimates = _demix(demixing, data)
-        source_power = np.mean(np.abs(estimates) ** 2, axis=(1, 2))
-        demixing, models, estimates = normalize(demixing, models, estimates)
-        sign, logdet = np.linalg.slogdet(demixing)
-        if np.any(sign == 0) or not np.all(np.isfinite(logdet)):
-            raise DemixingNumericError("demixing matrix became singular")
-        trace.append(IterationRecord(it + 1, objective, tuple(source_power.tolist())))
-    return _finish(mixture, cfg, demixing, estimates, trace)
-
-
 def separate(
     mixture: Spectrogram, cfg: SeparationConfig = SeparationConfig(), n_sources=None
 ) -> SeparationResult:
-    """Dispatch to the configured separation method."""
-    if cfg.method == "ilrma":
-        return run_ilrma(mixture, cfg, n_sources)
-    return run_sdilrma(mixture, cfg, n_sources)
+    """Separate with the configured method: one outer loop for all of them.
+
+    Each outer iteration fits every source model to a target, sweeps
+    the demixing matrices by iterative projection, renormalizes, and
+    records an objective. ILRMA's target is the demixed power |y_n|^2.
+    SDILRMA's target is the row marginals of one relaxed transport
+    problem per (source, frame) between |y_n|^2 and the modeled
+    variance, all sources side by side in one batched solve over the
+    shared kernel, warm started from the previous iteration.
+    """
+    data, demixing, estimates, models = _prepare(mixture, cfg, n_sources)
+    n_src, n_bins, n_frames = data.shape
+    transport = cfg.method != "ilrma"
+    kernel = _sd_kernel(n_bins, cfg) if transport else None
+    cache = None
+    trace = []
+    power = np.abs(estimates) ** 2
+    lam = np.stack([variance(m) for m in models])
+    for it in range(cfg.outer_iters):
+        target = power
+        if transport:
+            # sources side by side: column n*T + t is frame t of source n
+            flat_power, flat_lam = np.hstack(power), np.hstack(lam)
+            try:
+                cache = compute_frame_marginals(
+                    flat_power, flat_lam, kernel, cfg.sinkhorn, init=cache
+                )
+            except SinkhornNumericError as err:
+                where = None if err.context is None else divmod(err.context, n_frames)
+                msg = f"marginal computation failed at (source, frame) {where}: {err}"
+                raise SinkhornNumericError(msg, iteration=err.iteration, context=where) from err
+            objective = _transport_objective(cache, flat_power, flat_lam, cfg.sinkhorn)
+            target = np.hsplit(cache.row, n_src)
+        models = [
+            sd_update_source_model(m, t, cfg.verbatim_updates) for m, t in zip(models, target)
+        ]
+        demixing = ip_update(demixing, data, np.stack([variance(m) for m in models]))
+        estimates = _demix(demixing, data)
+        source_power = np.mean(np.abs(estimates) ** 2, axis=(1, 2))
+        demixing, models, estimates = normalize(demixing, models, estimates, source_power)
+        if not np.all(np.isfinite(np.linalg.slogdet(demixing)[1])):
+            raise DemixingNumericError("demixing matrix became singular")
+        # the next iteration's target, solve and objective read these
+        power = np.abs(estimates) ** 2
+        lam = np.stack([variance(m) for m in models])
+        if not transport:
+            objective = ilrma_objective(power, lam, demixing)
+        trace.append(IterationRecord(it + 1, objective, tuple(source_power.tolist())))
+    images = back_project(estimates, demixing, cfg.ref_mic)
+    return SeparationResult(
+        estimates=_like(mixture, estimates),
+        images=_like(mixture, images),
+        demixing=demixing,
+        trace=tuple(trace),
+    )

@@ -17,7 +17,7 @@ import pytest
 from helpers import ACCEPTANCE_VERDICTS, schroeder_t60
 from otbss.audio import StftConfig, TimeSignal, istft, read_wav, stft
 from otbss.cli import EXIT_OK, main
-from otbss.engine import SeparationConfig, run_ilrma, run_sdilrma, separate
+from otbss.engine import SeparationConfig, separate
 from otbss.kron import factorized_kernel, kron_sum_cost, materialize_kron_sum
 from otbss.metrics import improvement, sdr_sir
 from otbss.nmf import init_nmf, is_divergence, is_update, variance
@@ -144,7 +144,7 @@ def test_04_demixed_likelihood_is_monotone():
     for seed in range(10):
         mixture, _ = _speech_cell(0.0, seed, duration=1.5)
         cfg = SeparationConfig(method="ilrma", outer_iters=30, seed=seed, stft=stft_cfg)
-        result = run_ilrma(stft(mixture, stft_cfg), cfg, n_sources=2)
+        result = separate(stft(mixture, stft_cfg), cfg, n_sources=2)
         obj = np.array([r.objective for r in result.trace])
         slack = np.max((obj[:-1] - obj[1:]) / np.abs(obj[:-1]))
         worst = max(worst, float(slack))
@@ -284,8 +284,8 @@ def test_08_dense_and_factorized_runs_agree():
     mix = np.array([[1.0, 0.6], [0.45, 1.0]])
     spec = stft(TimeSignal(mix @ dry, fs), stft_cfg)
     common = dict(outer_iters=20, seed=3, kron_dims=(43, 3), stft=stft_cfg)
-    dense = run_sdilrma(spec, SeparationConfig(method="sdilrma-dense", **common))
-    kron = run_sdilrma(spec, SeparationConfig(method="sdilrma-kron", **common))
+    dense = separate(spec, SeparationConfig(method="sdilrma-dense", **common))
+    kron = separate(spec, SeparationConfig(method="sdilrma-kron", **common))
     err = float(
         np.max(np.abs(kron.estimates.data - dense.estimates.data))
         / np.max(np.abs(dense.estimates.data))

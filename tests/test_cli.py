@@ -197,6 +197,14 @@ class TestSeparate:
             images.append((out / "est_0.wav").read_bytes())
         assert images[0] != images[1]
 
+    def test_verbatim_updates_with_ilrma_exits_2(self, sim_dir, tmp_path, capsys):
+        cfg = _write_json(tmp_path / "sep.json", {"schema": 1, "verbatim_updates": True})
+        out = tmp_path / "x"
+        code = main(["separate", str(sim_dir / "mixture.wav"), "--config", cfg, "--method", "ilrma", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "verbatim_updates" in capsys.readouterr().err
+        assert not (out / "config.json").exists()
+
     def test_string_boolean_rejected(self, sim_dir, tmp_path, capsys):
         cfg = _write_json(tmp_path / "sep.json", {"schema": 1, "verbatim_updates": "false"})
         code = main(["separate", str(sim_dir / "mixture.wav"), "--config", cfg, "--out", str(tmp_path / "x")])

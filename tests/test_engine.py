@@ -1,4 +1,4 @@
-"""Separation engine: demixing algebra, model updates, and full loops.
+"""Separation engine: demixing algebra, model updates, and the separation loop.
 
 Independent oracles: instantaneous 2x2 mixtures whose exact demixing
 matrix is the mixing inverse, oracle source variances driving the
@@ -34,8 +34,6 @@ from otbss.engine import (
     init_demixing,
     ip_update,
     normalize,
-    run_ilrma,
-    run_sdilrma,
     sd_update_source_model,
     separate,
 )
@@ -69,6 +67,11 @@ def _random_spectrogram(rng, n_chan, n_bins, n_frames):
         (n_chan, n_bins, n_frames)
     )
     return data
+
+
+def _mean_power(est):
+    """Mean demixed power of each source, as separate() hands it to normalize."""
+    return np.mean(np.abs(est) ** 2, axis=(1, 2))
 
 
 def _backend_kernel(backend, mu, dims=(4, 3)):
@@ -240,30 +243,44 @@ class TestNormalize:
 
     def test_unit_mean_power(self):
         d, models, est = self._setup()
-        _, _, est2 = normalize(d, models, est)
-        np.testing.assert_allclose(np.mean(np.abs(est2) ** 2, axis=(1, 2)), 1.0, rtol=1e-12)
+        _, _, est2 = normalize(d, models, est, _mean_power(est))
+        np.testing.assert_allclose(_mean_power(est2), 1.0, rtol=1e-12)
 
-    def test_objective_invariant(self):
-        d, models, est = self._setup()
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_src=st.integers(1, 3),
+        n_bins=st.integers(2, 6),
+        n_frames=st.integers(2, 7),
+        log_gains=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+    )
+    def test_objective_invariant(self, seed, n_src, n_bins, n_frames, log_gains):
+        # source levels within six decades keep the rescaled bases clear
+        # of the model floor, where the invariance is exact
+        rng = np.random.default_rng(seed)
+        gains = 10.0 ** np.array(log_gains[:n_src])
+        est = _random_spectrogram(rng, n_src, n_bins, n_frames) * gains[:, None, None]
+        d = _random_spectrogram(rng, n_bins, n_src, n_src) + 2 * np.eye(n_src)
+        models = [init_nmf(n_bins, n_frames, 2, seed=seed + n) for n in range(n_src)]
         lam = np.stack([variance(m) for m in models])
         before = ilrma_objective(np.abs(est) ** 2, lam, d)
-        d2, models2, est2 = normalize(d, models, est)
+        d2, models2, est2 = normalize(d, models, est, _mean_power(est))
         lam2 = np.stack([variance(m) for m in models2])
         after = ilrma_objective(np.abs(est2) ** 2, lam2, d2)
-        assert after == pytest.approx(before, rel=1e-10)
+        assert after == pytest.approx(before, rel=1e-9, abs=1e-9)
 
     def test_idempotent(self):
         d, models, est = self._setup()
-        d1, m1, e1 = normalize(d, models, est)
-        d2, m2, e2 = normalize(d1, m1, e1)
+        d1, m1, e1 = normalize(d, models, est, _mean_power(est))
+        d2, m2, e2 = normalize(d1, m1, e1, _mean_power(e1))
         np.testing.assert_allclose(d2, d1, rtol=1e-12)
         np.testing.assert_allclose(e2, e1, rtol=1e-12)
         np.testing.assert_allclose(variance(m2[0]), variance(m1[0]), rtol=1e-12)
 
     def test_demixing_scaled_consistently(self):
         d, models, est = self._setup()
-        rho = np.sqrt(np.mean(np.abs(est) ** 2, axis=(1, 2)))
-        d2, _, _ = normalize(d, models, est)
+        rho = np.sqrt(_mean_power(est))
+        d2, _, _ = normalize(d, models, est, rho**2)
         np.testing.assert_allclose(d2[:, 0, :], d[:, 0, :] / rho[0], rtol=1e-12)
         np.testing.assert_allclose(d2[:, 1, :], d[:, 1, :] / rho[1], rtol=1e-12)
 
@@ -271,7 +288,7 @@ class TestNormalize:
         d, models, est = self._setup()
         est[1] = 0.0
         with pytest.warns(UserWarning, match="zero power"):
-            d2, models2, est2 = normalize(d, models, est)
+            d2, models2, est2 = normalize(d, models, est, _mean_power(est))
         np.testing.assert_array_equal(d2[:, 1, :], d[:, 1, :])
         np.testing.assert_array_equal(variance(models2[1]), variance(models[1]))
         np.testing.assert_array_equal(est2[1], est[1])
@@ -279,7 +296,9 @@ class TestNormalize:
     def test_count_mismatch_rejected(self):
         d, models, est = self._setup()
         with pytest.raises(ValueError):
-            normalize(d, models[:1], est)
+            normalize(d, models[:1], est, _mean_power(est))
+        with pytest.raises(ValueError):
+            normalize(d, models, est, _mean_power(est)[:1])
 
 
 class TestIlrmaObjective:
@@ -455,7 +474,7 @@ class TestComputeFrameMarginals:
         "log_scale, gamma", [(0.0, 10.0), (700.0, 10.0), (700.0, 1e6), (-700.0, 1e6)]
     )
     def test_marginals_match_materialized_kernel(self, backend, log_scale, gamma):
-        # at the default budget, warm-started as run_sdilrma calls it;
+        # at the default budget, warm-started as separate calls it;
         # masses near exp(+-700) leave double range unless every
         # product stays in the log domain
         rng = np.random.default_rng(23)
@@ -505,7 +524,7 @@ class TestComputeFrameMarginals:
     @pytest.mark.parametrize("backend", ["dense", "kron"])
     def test_batched_sources_match_per_source_solves(self, backend):
         # at the default truncated budget, from a warm start, as
-        # run_sdilrma calls it: frames are independent columns
+        # separate calls it: frames are independent columns
         rng = np.random.default_rng(18)
         power = rng.uniform(0.1, 3.0, size=(2, 12, 4))
         lam = rng.uniform(0.1, 3.0, size=(2, 12, 4))
@@ -527,7 +546,7 @@ class TestComputeFrameMarginals:
 class TestTransportObjective:
     @pytest.mark.parametrize("backend", ["dense", "kron"])
     def test_matches_dense_plan_oracle(self, backend):
-        # truncated scalings at the default budget, as run_sdilrma calls
+        # truncated scalings at the default budget, as separate calls
         # it: the matrix-free form holds for any plan diag(u) G diag(v)
         rng = np.random.default_rng(19)
         power = rng.uniform(0.1, 3.0, size=(12, 4))
@@ -594,15 +613,29 @@ class TestTranslationInvariantStep:
 
 
 class TestBackProject:
-    def test_images_partition_reference_channel(self):
-        rng = np.random.default_rng(15)
-        x = _random_spectrogram(rng, 2, 5, 6)
-        d = _random_spectrogram(rng, 5, 2, 2) + np.broadcast_to(
-            2 * np.eye(2), (5, 2, 2)
-        )
-        y = apply_demixing(d, x)
-        images = back_project(y, d, ref_mic=0)
-        np.testing.assert_allclose(images.sum(axis=0), x[0], atol=1e-10)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_src=st.integers(1, 3),
+        n_bins=st.integers(1, 6),
+        ref_mic=st.integers(0, 2),
+        log_cond=st.floats(0.0, 3.0),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_images_partition_reference_channel(
+        self, seed, n_src, n_bins, ref_mic, log_cond, log_scale
+    ):
+        # D_f = U diag(s) V^H with random unitary U, V and singular values
+        # from scale to scale * cond
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(_random_spectrogram(rng, n_bins, n_src, n_src))
+        v, _ = np.linalg.qr(_random_spectrogram(rng, n_bins, n_src, n_src))
+        s = 10.0 ** (log_scale + log_cond * rng.uniform(0.0, 1.0, size=(n_bins, n_src)))
+        d = (u * s[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        x = _random_spectrogram(rng, n_src, n_bins, 5)
+        ref = ref_mic % n_src
+        images = back_project(apply_demixing(d, x), d, ref_mic=ref)
+        np.testing.assert_allclose(images.sum(axis=0), x[ref], rtol=0, atol=1e-10 * np.max(np.abs(x)))
 
     def test_instantaneous_oracle_scales(self):
         rng = np.random.default_rng(16)
@@ -649,6 +682,12 @@ class TestSeparationConfig:
         with pytest.raises(Exception):
             cfg.method = "ilrma"
 
+    def test_verbatim_updates_rejected_for_ilrma(self):
+        with pytest.raises(ValueError, match="verbatim_updates"):
+            SeparationConfig(method="ilrma", verbatim_updates=True)
+        for method in METHODS[1:]:
+            assert SeparationConfig(method=method, verbatim_updates=True).verbatim_updates
+
     def test_methods_tuple(self):
         assert METHODS == ("ilrma", "sdilrma-dense", "sdilrma-kron")
 
@@ -657,7 +696,7 @@ class TestRunIlrma:
     def test_objective_nondecreasing(self):
         mixture, _, _ = _speech_scene(duration=1.0)
         cfg = SeparationConfig(method="ilrma", outer_iters=20, seed=0)
-        result = run_ilrma(mixture, cfg)
+        result = separate(mixture, cfg)
         obj = np.array([r.objective for r in result.trace])
         assert len(obj) == 20
         assert np.all(np.diff(obj) >= -1e-6 * np.abs(obj[:-1]))
@@ -665,7 +704,7 @@ class TestRunIlrma:
     def test_trace_and_shapes(self):
         mixture, _, _ = _speech_scene(duration=0.5)
         cfg = SeparationConfig(method="ilrma", outer_iters=3, seed=1)
-        result = run_ilrma(mixture, cfg)
+        result = separate(mixture, cfg)
         assert isinstance(result.estimates, Spectrogram)
         assert isinstance(result.images, Spectrogram)
         assert result.demixing.shape == (mixture.n_bins, 2, 2)
@@ -673,18 +712,10 @@ class TestRunIlrma:
         assert isinstance(result.trace[0], IterationRecord)
         assert all(len(r.source_power) == 2 for r in result.trace)
 
-    def test_images_partition_mixture(self):
-        mixture, _, _ = _speech_scene(duration=0.5)
-        cfg = SeparationConfig(method="ilrma", outer_iters=5, seed=2, ref_mic=0)
-        result = run_ilrma(mixture, cfg)
-        np.testing.assert_allclose(
-            result.images.data.sum(axis=0), mixture.data[0], atol=1e-8
-        )
-
     def test_separates_instantaneous_mixture(self):
         mixture, _, _ = _speech_scene(duration=1.5)
         cfg = SeparationConfig(method="ilrma", outer_iters=30, seed=0)
-        result = run_ilrma(mixture, cfg)
+        result = separate(mixture, cfg)
         ratios = np.array(
             [_off_pattern(result.demixing[f] @ MIX) for f in range(mixture.n_bins)]
         )
@@ -698,9 +729,8 @@ class TestRunIlrma:
             hop=mixture.hop,
             sample_rate=mixture.sample_rate,
             original_length=mixture.original_length,
-            window=mixture.window,
         )
-        result = run_ilrma(mono, SeparationConfig(method="ilrma", outer_iters=2))
+        result = separate(mono, SeparationConfig(method="ilrma", outer_iters=2))
         assert result.estimates.data.shape == mono.data.shape
 
     @pytest.mark.parametrize("method", ["ilrma", "sdilrma-kron"])
@@ -717,27 +747,14 @@ class TestRunIlrma:
         np.testing.assert_allclose(images[1], images[0], rtol=1e-12, atol=0)
         np.testing.assert_allclose(images[2], images[0], rtol=1e-12, atol=0)
 
-    def test_deterministic_for_seed(self):
-        mixture, _, _ = _speech_scene(duration=0.4)
-        cfg = SeparationConfig(method="ilrma", outer_iters=4, seed=7)
-        r1 = run_ilrma(mixture, cfg)
-        r2 = run_ilrma(mixture, cfg)
-        np.testing.assert_array_equal(r1.estimates.data, r2.estimates.data)
-        assert [a.objective for a in r1.trace] == [b.objective for b in r2.trace]
-
 
 class TestRunSdilrma:
-    def test_rejects_plain_ilrma_config(self):
-        mixture, _, _ = _speech_scene(duration=0.3)
-        with pytest.raises(ValueError):
-            run_sdilrma(mixture, SeparationConfig(method="ilrma"))
-
     def test_backends_agree(self):
         mixture, _, _ = _speech_scene(duration=1.0)
         assert mixture.n_bins == 129
         common = dict(outer_iters=10, seed=3, kron_dims=(43, 3))
-        dense = run_sdilrma(mixture, SeparationConfig(method="sdilrma-dense", **common))
-        kron = run_sdilrma(mixture, SeparationConfig(method="sdilrma-kron", **common))
+        dense = separate(mixture, SeparationConfig(method="sdilrma-dense", **common))
+        kron = separate(mixture, SeparationConfig(method="sdilrma-kron", **common))
         scale = np.max(np.abs(dense.estimates.data))
         np.testing.assert_allclose(
             kron.estimates.data, dense.estimates.data, atol=1e-6 * scale
@@ -751,19 +768,19 @@ class TestRunSdilrma:
         assert mixture.n_bins == 3
         cfg = SeparationConfig(method="sdilrma-kron", outer_iters=2, seed=0)
         with pytest.warns(UserWarning, match="cannot be factorized"):
-            result = run_sdilrma(mixture, cfg)
+            result = separate(mixture, cfg)
         assert np.all(np.isfinite(result.estimates.data))
 
     def test_kron_dims_must_match_bins(self):
         mixture, _, _ = _speech_scene(duration=0.3)
         cfg = SeparationConfig(method="sdilrma-kron", outer_iters=1, kron_dims=(4, 3))
         with pytest.raises(ValueError, match="kron_dims"):
-            run_sdilrma(mixture, cfg)
+            separate(mixture, cfg)
 
     def test_transport_objective_trends_down(self):
         mixture, _, _ = _speech_scene(duration=0.8)
         cfg = SeparationConfig(method="sdilrma-kron", outer_iters=12, seed=4)
-        result = run_sdilrma(mixture, cfg)
+        result = separate(mixture, cfg)
         obj = [r.objective for r in result.trace]
         assert all(np.isfinite(obj))
         assert obj[-1] < obj[0]
@@ -773,7 +790,7 @@ class TestRunSdilrma:
         cfg = SeparationConfig(
             method="sdilrma-kron", outer_iters=3, seed=5, verbatim_updates=True
         )
-        result = run_sdilrma(mixture, cfg)
+        result = separate(mixture, cfg)
         assert np.all(np.isfinite(result.estimates.data))
         assert all(np.isfinite(r.objective) for r in result.trace)
 
@@ -785,27 +802,32 @@ class TestRunSdilrma:
         data[channel, :, 3] = np.nan
         cfg = SeparationConfig(method="sdilrma-kron", outer_iters=1)
         with np.errstate(invalid="ignore"), pytest.raises(SinkhornNumericError) as excinfo:
-            run_sdilrma(dataclasses.replace(mixture, data=data), cfg)
+            separate(dataclasses.replace(mixture, data=data), cfg)
         assert excinfo.value.iteration == 0
         assert excinfo.value.context == (channel, 3)
 
-    def test_images_partition_mixture(self):
+
+class TestSeparate:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_images_partition_mixture(self, method):
         mixture, _, _ = _speech_scene(duration=0.5)
-        cfg = SeparationConfig(method="sdilrma-dense", outer_iters=4, seed=6)
-        result = run_sdilrma(mixture, cfg)
+        cfg = SeparationConfig(method=method, outer_iters=4, seed=6, ref_mic=0)
+        result = separate(mixture, cfg)
         np.testing.assert_allclose(
             result.images.data.sum(axis=0), mixture.data[0], atol=1e-8
         )
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_deterministic_for_seed(self, method):
+        mixture, _, _ = _speech_scene(duration=0.4)
+        cfg = SeparationConfig(method=method, outer_iters=4, seed=7)
+        r1 = separate(mixture, cfg)
+        r2 = separate(mixture, cfg)
+        np.testing.assert_array_equal(r1.estimates.data, r2.estimates.data)
+        assert r1.trace == r2.trace
+
 
 class TestSeparateDispatch:
-    def test_dispatches_by_method(self):
-        mixture, _, _ = _speech_scene(duration=0.4)
-        cfg = SeparationConfig(method="ilrma", outer_iters=3, seed=8)
-        direct = run_ilrma(mixture, cfg)
-        routed = separate(mixture, cfg)
-        np.testing.assert_array_equal(routed.estimates.data, direct.estimates.data)
-
     def test_channel_truncation_warns(self):
         mixture, _, _ = _speech_scene(duration=0.3)
         data = np.concatenate([mixture.data, mixture.data[:1]], axis=0)
@@ -815,7 +837,6 @@ class TestSeparateDispatch:
             hop=mixture.hop,
             sample_rate=mixture.sample_rate,
             original_length=mixture.original_length,
-            window=mixture.window,
         )
         with pytest.warns(UserWarning, match="keeping the first 2"):
             result = separate(three, SeparationConfig(method="ilrma", outer_iters=2), n_sources=2)
@@ -838,7 +859,6 @@ class TestSeparateDispatch:
             hop=2,
             sample_rate=16000,
             original_length=8,
-            window="hann",
         )
         with pytest.raises(ValueError, match="two frames"):
             separate(short, SeparationConfig(method="ilrma"))
