@@ -51,10 +51,6 @@ class TimeSignal:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
-
 
 @dataclass(frozen=True)
 class StftConfig:
@@ -80,10 +76,6 @@ class StftConfig:
             raise ValueError(
                 f"Hann window with hop {self.hop} is not constant-overlap-add"
             )
-
-    @property
-    def fft_len(self) -> int:
-        return self.window_len
 
     @property
     def n_bins(self) -> int:
@@ -224,7 +216,7 @@ def stft(sig: TimeSignal, cfg: StftConfig = StftConfig()) -> Spectrogram:
 
     idx = np.arange(L)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = padded[:, idx] * cfg.taper()[None, None, :]
-    spec = np.fft.rfft(frames, n=cfg.fft_len, axis=-1)  # (C, T, F)
+    spec = np.fft.rfft(frames, n=L, axis=-1)  # (C, T, F)
     return Spectrogram(
         data=spec.transpose(0, 2, 1),
         window_len=L,
@@ -234,24 +226,21 @@ def stft(sig: TimeSignal, cfg: StftConfig = StftConfig()) -> Spectrogram:
     )
 
 
-def istft(spec: Spectrogram, cfg: StftConfig | None = None) -> TimeSignal:
+def istft(spec: Spectrogram) -> TimeSignal:
     """Invert a Spectrogram by weighted overlap-add.
 
-    Each frame is windowed again on synthesis and the result is divided
-    by the accumulated squared window, which makes ``istft(stft(x))``
-    reproduce ``x`` exactly (up to rounding) on the original sample range.
+    The window and hop are the spectrogram's own. Each frame is windowed
+    again on synthesis and the result is divided by the accumulated
+    squared window, which makes ``istft(stft(x))`` reproduce ``x``
+    exactly (up to rounding) on the original sample range.
     """
-    if cfg is None:
-        cfg = StftConfig(window_len=spec.window_len, hop=spec.hop)
-    if (cfg.window_len, cfg.hop) != (spec.window_len, spec.hop):
-        raise ValueError("StftConfig does not match the Spectrogram metadata")
-    L, hop = cfg.window_len, cfg.hop
+    L, hop = spec.window_len, spec.hop
     n = spec.original_length
     n_frames = spec.n_frames
     padded_len = (n_frames - 1) * hop + L
-    taper = cfg.taper()
+    taper = StftConfig(window_len=L, hop=hop).taper()
 
-    frames = np.fft.irfft(spec.data.transpose(0, 2, 1), n=cfg.fft_len, axis=-1)
+    frames = np.fft.irfft(spec.data.transpose(0, 2, 1), n=L, axis=-1)
     frames *= taper[None, None, :]
 
     out = np.zeros((spec.n_channels, padded_len))

@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +104,7 @@ def _load_config(path, known: dict) -> dict:
         if key in data:
             try:
                 out[key] = convert(data[key])
-            except ConfigError as err:
+            except (ConfigError, TypeError) as err:  # TypeError: a scalar for a list
                 raise ConfigError(f"{path}: key {key!r}: {err}") from err
         else:
             out[key] = default
@@ -135,21 +136,26 @@ _SCENE_KEYS = {
     "distance": (SOURCE_DISTANCE, _geometry_value(SOURCE_DISTANCE, "distance")),
 }
 
-_SEPARATION_KEYS = {
-    "method": ("ilrma", str),
-    "n_sources": (None, _int_value),
-    "n_basis": (2, _int_value),
-    "outer_iters": (50, _int_value),
-    "mu": (100.0, _float_value),
-    "gamma": (10.0, _float_value),
+# the keys ``separate`` and ``benchmark`` share, with the library defaults
+_SHARED_KEYS = {
+    "n_basis": (SeparationConfig.n_basis, _int_value),
+    "outer_iters": (SeparationConfig.outer_iters, _int_value),
+    "mu": (SinkhornParams.mu, _float_value),
+    "gamma": (SinkhornParams.gamma, _float_value),
     "max_iter": (SinkhornParams.max_iter, _int_value),
-    "tol": (1e-6, _float_value),
-    "window_len": (1024, _int_value),
-    "hop": (256, _int_value),
-    "ref_mic": (0, _int_value),
-    "kron_dims": (None, lambda v: tuple(_int_value(d) for d in v)),
-    "verbatim_updates": (False, _bool_value),
-    "seed": (0, _int_value),
+    "tol": (SinkhornParams.tol, _float_value),
+    "window_len": (StftConfig.window_len, _int_value),
+    "hop": (StftConfig.hop, _int_value),
+    "seed": (SeparationConfig.seed, _int_value),
+}
+
+_SEPARATION_KEYS = {
+    "method": (SeparationConfig.method, str),
+    "n_sources": (None, _int_value),
+    **_SHARED_KEYS,
+    "ref_mic": (SeparationConfig.ref_mic, _int_value),
+    "kron_dims": (SeparationConfig.kron_dims, lambda v: tuple(_int_value(d) for d in v)),
+    "verbatim_updates": (SeparationConfig.verbatim_updates, _bool_value),
 }
 
 _PLAN_KEYS = {
@@ -157,17 +163,9 @@ _PLAN_KEYS = {
     "trials": (5, _int_value),
     "methods": (["ilrma", "sdilrma-kron"], lambda v: [str(m) for m in v]),
     "angle_seed": (0, _int_value),
-    "duration": (3.0, _float_value),
-    "sample_rate": (16000, _int_value),
-    "n_basis": (2, _int_value),
-    "outer_iters": (50, _int_value),
-    "mu": (100.0, _float_value),
-    "gamma": (10.0, _float_value),
-    "max_iter": (SinkhornParams.max_iter, _int_value),
-    "tol": (1e-6, _float_value),
-    "window_len": (1024, _int_value),
-    "hop": (256, _int_value),
-    "seed": (0, _int_value),
+    "duration": _SCENE_KEYS["duration"],
+    "sample_rate": _SCENE_KEYS["sample_rate"],
+    **_SHARED_KEYS,
 }
 
 
@@ -177,13 +175,7 @@ def _source_seed(seed: int, index: int) -> int:
 
 def _simulate_scene(cfg: dict):
     """Render the configured scene: (mixture, dry sources, mic-0 images)."""
-    scene = make_scene_sisec(
-        cfg["t60"],
-        cfg["angle1"],
-        cfg["angle2"],
-        seed=cfg["seed"],
-        sample_rate=cfg["sample_rate"],
-    )
+    scene = make_scene_sisec(cfg["t60"], cfg["angle1"], cfg["angle2"], sample_rate=cfg["sample_rate"])
     rir = image_source_rir(scene)
     sources = [
         synth_speech(cfg["duration"], cfg["sample_rate"], seed=_source_seed(cfg["seed"], n))
@@ -303,8 +295,8 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _run_cell(plan: dict, t60: float, trial: int) -> list:
-    """Simulate one (t60, trial) cell and run every configured method."""
+def _run_cell(plan: dict, configs: list, t60: float, trial: int) -> list:
+    """Simulate one (t60, trial) cell and separate it with every config."""
     angle_rng = np.random.default_rng(plan["angle_seed"] * 1_000_003 + trial)
     angle1 = float(angle_rng.uniform(10.0, 80.0))
     angle2 = float(angle_rng.uniform(-80.0, -10.0))
@@ -321,20 +313,10 @@ def _run_cell(plan: dict, t60: float, trial: int) -> list:
     references = images
     ref_channel = TimeSignal(mixture.samples[:1], mixture.sample_rate)
     baseline = sdr_sir([ref_channel] * N_SPEAKERS, references)
-    stft_cfg = StftConfig(window_len=plan["window_len"], hop=plan["hop"])
-    spec = stft(mixture, stft_cfg)
+    spec = stft(mixture, configs[0].stft)
     rows = []
-    for method in plan["methods"]:
-        sep_cfg = SeparationConfig(
-            method=method,
-            n_basis=plan["n_basis"],
-            outer_iters=plan["outer_iters"],
-            sinkhorn=SinkhornParams(
-                mu=plan["mu"], gamma=plan["gamma"], max_iter=plan["max_iter"], tol=plan["tol"]
-            ),
-            seed=base_seed,
-            stft=stft_cfg,
-        )
+    for cfg in configs:
+        sep_cfg = replace(cfg, seed=base_seed)
         start = time.perf_counter()
         try:
             result = separate(spec, sep_cfg, n_sources=N_SPEAKERS)
@@ -347,13 +329,13 @@ def _run_cell(plan: dict, t60: float, trial: int) -> list:
             gains = improvement(scored, baseline)
             for n in range(N_SPEAKERS):
                 rows.append(
-                    (t60, trial, method, n, f"{gains.sdr[n]:.4f}", f"{gains.sir[n]:.4f}", f"{wall_ms:.1f}", "ok")
+                    (t60, trial, cfg.method, n, f"{gains.sdr[n]:.4f}", f"{gains.sir[n]:.4f}", f"{wall_ms:.1f}", "ok")
                 )
         except (SinkhornNumericError, DemixingNumericError) as err:
             wall_ms = (time.perf_counter() - start) * 1000.0
             reason = "failed: " + str(err).replace(",", ";")
             for n in range(N_SPEAKERS):
-                rows.append((t60, trial, method, n, "", "", f"{wall_ms:.1f}", reason))
+                rows.append((t60, trial, cfg.method, n, "", "", f"{wall_ms:.1f}", reason))
     log.info("benchmark cell t60=%s trial=%d done", t60, trial)
     return rows
 
@@ -368,9 +350,15 @@ def cmd_benchmark(args) -> int:
         raise ConfigError("trials must be >= 1")
     if any(t < 0 for t in plan["t60_grid"]):
         raise ConfigError("t60 grid values must be nonnegative")
-    unknown = [m for m in plan["methods"] if m not in METHODS]
-    if unknown:
-        raise ConfigError(f"unknown methods: {', '.join(unknown)}")
+    if plan["duration"] <= 0 or plan["sample_rate"] <= 0:
+        raise ConfigError("duration and sample_rate must be positive")
+    if plan["seed"] < 0 or plan["angle_seed"] < 0:
+        raise ConfigError("seed and angle_seed must be nonnegative")
+    if not plan["methods"]:
+        raise ConfigError("methods must name at least one method")
+    # every plan error surfaces here, before the first cell simulates a scene
+    defaults = {key: default for key, (default, _) in _SEPARATION_KEYS.items()}
+    configs = [_separation_config({**defaults, **plan, "method": m}) for m in plan["methods"]]
     cells = [(t60, trial) for t60 in plan["t60_grid"] for trial in range(plan["trials"])]
     rows = []
     if args.jobs > 1:
@@ -378,12 +366,12 @@ def cmd_benchmark(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_cell, plan, t60, trial) for t60, trial in cells]
+            futures = [pool.submit(_run_cell, plan, configs, t60, trial) for t60, trial in cells]
             for future in futures:
                 rows.extend(future.result())
     else:
         for t60, trial in cells:
-            rows.extend(_run_cell(plan, t60, trial))
+            rows.extend(_run_cell(plan, configs, t60, trial))
     rows.sort(key=lambda r: (r[0], r[1], str(r[2]), r[3]))
 
     out = Path(args.out)

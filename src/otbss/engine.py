@@ -26,7 +26,7 @@ import numpy as np
 
 from .audio import Spectrogram, StftConfig
 from .errors import DemixingNumericError, FactorizationError, SinkhornNumericError
-from .kron import factorize_bins, factorized_kernel, kron_sum_cost, materialize_kron_sum
+from .kron import factorize_bins, factorized_kernel, kron_sum_cost
 from .nmf import EPS, NmfModel, init_nmf, is_update, variance
 from .sinkhorn import (
     FrameMarginals,
@@ -116,26 +116,16 @@ def _as_data(x) -> np.ndarray:
     return data
 
 
-def init_demixing(n_channels: int, n_sources: int, n_bins: int) -> np.ndarray:
-    """Identity into the first ``n_sources`` channels, shape (F, N, M)."""
-    if n_sources < 1 or n_channels < 1 or n_bins < 1:
+def init_demixing(n_sources: int, n_bins: int) -> np.ndarray:
+    """Identity demixing matrices, shape (F, N, N)."""
+    if n_sources < 1 or n_bins < 1:
         raise ValueError("all dimensions must be >= 1")
-    if n_sources > n_channels:
-        raise ValueError("more sources than channels is unsupported")
-    base = np.zeros((n_sources, n_channels), dtype=np.complex128)
-    base[:, :n_sources] = np.eye(n_sources)
-    return np.broadcast_to(base, (n_bins, n_sources, n_channels)).copy()
-
-
-def apply_demixing(demixing: np.ndarray, mixture) -> np.ndarray:
-    """y_{f,t} = D_f x_{f,t} for every frequency and frame."""
-    out = _demix(demixing, _as_data(mixture))
-    if isinstance(mixture, Spectrogram):
-        return _like(mixture, out)
-    return out
+    eye = np.eye(n_sources, dtype=np.complex128)
+    return np.broadcast_to(eye, (n_bins, n_sources, n_sources)).copy()
 
 
 def _demix(demixing: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """y_{f,t} = D_f x_{f,t} for every frequency and frame."""
     if demixing.ndim != 3 or demixing.shape[0] != data.shape[1] or demixing.shape[2] != data.shape[0]:
         raise ValueError(
             f"demixing shape {demixing.shape} does not match data shape {data.shape}"
@@ -382,7 +372,7 @@ def _prepare(mixture: Spectrogram, cfg: SeparationConfig, n_sources):
     if data.shape[2] < 2:
         raise ValueError("need at least two frames")
     n_bins, n_frames = data.shape[1], data.shape[2]
-    demixing = init_demixing(n_src, n_src, n_bins)
+    demixing = init_demixing(n_src, n_bins)
     estimates = data.copy()
     models = [
         init_nmf(n_bins, n_frames, cfg.n_basis, seed=cfg.seed + n) for n in range(n_src)
@@ -391,24 +381,23 @@ def _prepare(mixture: Spectrogram, cfg: SeparationConfig, n_sources):
 
 
 def _sd_kernel(n_bins: int, cfg: SeparationConfig):
-    """Gibbs kernel of the configured transport backend."""
+    """Gibbs kernel of the configured transport backend.
+
+    ``sdilrma-dense`` with ``kron_dims`` gets the factored kernel, materialized.
+    """
     mu = cfg.sinkhorn.mu
     dims = cfg.kron_dims
     if dims is not None and int(np.prod(dims)) != n_bins:
         raise ValueError(f"kron_dims {dims} do not multiply to {n_bins} bins")
-    if cfg.method == "sdilrma-kron":
-        if dims is None:
-            try:
-                dims = factorize_bins(n_bins, 2)
-            except FactorizationError:
-                warnings.warn(
-                    f"{n_bins} bins cannot be factorized; falling back to the dense kernel"
-                )
-                return gibbs_kernel(build_cost_sq(n_bins), mu)
-        return factorized_kernel(kron_sum_cost(dims), mu)
-    if dims is not None:
-        return gibbs_kernel(materialize_kron_sum(kron_sum_cost(dims)), mu)
-    return gibbs_kernel(build_cost_sq(n_bins), mu)
+    if cfg.method == "sdilrma-kron" and dims is None:
+        try:
+            dims = factorize_bins(n_bins, 2)
+        except FactorizationError:
+            warnings.warn(f"{n_bins} bins cannot be factorized; falling back to the dense kernel")
+    if dims is None:
+        return gibbs_kernel(build_cost_sq(n_bins), mu)
+    kernel = factorized_kernel(kron_sum_cost(dims), mu)
+    return kernel if cfg.method == "sdilrma-kron" else kernel.materialize()
 
 
 def separate(

@@ -103,27 +103,6 @@ def kron_sum_cost(dims) -> KroneckerCost:
     return KroneckerCost(factors=tuple(factors), dims=dims)
 
 
-def materialize_kron_sum(cost: KroneckerCost) -> np.ndarray:
-    """Dense C[i,j] = sum_q C_q[i_q, j_q] (testing-scale only).
-
-    Each summand broadcasts its table across the other digits (all-ones
-    blocks in Kronecker position, not identities): that is the sum the
-    entrywise exponential turns into a Kronecker product of kernels.
-    """
-    if cost.n_bins > MATERIALIZE_MAX_BINS:
-        raise CapabilityError(
-            f"refusing to materialize a {cost.n_bins}x{cost.n_bins} Kronecker sum"
-        )
-    total = np.zeros((cost.n_bins, cost.n_bins))
-    for q, factor in enumerate(cost.factors):
-        term = np.ones((1, 1))
-        for r, f in enumerate(cost.dims):
-            block = factor if r == q else np.ones((f, f))
-            term = np.kron(term, block)
-        total += term
-    return total
-
-
 @dataclass(frozen=True)
 class FactorizedKernel:
     """Gibbs kernel e^(-1) * (G_1 x ... x G_Q) held in factored form.
@@ -167,7 +146,10 @@ class FactorizedKernel:
         return int(self.n_bins * sum(self.dims))
 
     def materialize(self) -> np.ndarray:
-        """Dense e^(-1) * (G_1 x ... x G_Q) (testing-scale only)."""
+        """Dense e^(-1) * (G_1 x ... x G_Q), up to MATERIALIZE_MAX_BINS bins.
+
+        The kernel of ``sdilrma-dense`` when ``kron_dims`` is given.
+        """
         if self.n_bins > MATERIALIZE_MAX_BINS:
             raise CapabilityError(
                 f"refusing to materialize a {self.n_bins}x{self.n_bins} kernel"

@@ -29,13 +29,12 @@ class EvalResult:
 
     ``permutation[j]`` is the estimate index assigned to reference j;
     ``sdr[j]`` and ``sir[j]`` score that assignment. Values are clamped
-    to ``+-clamp`` dB so perfect or empty components stay finite.
+    to ``+-CLAMP_DB`` dB so perfect or empty components stay finite.
     """
 
     sdr: np.ndarray
     sir: np.ndarray
     permutation: tuple
-    clamp: float = CLAMP_DB
 
 
 class Improvement(tuple):

@@ -45,15 +45,11 @@ class NmfModel:
         return self.basis.shape[0]
 
     @property
-    def n_components(self) -> int:
-        return self.basis.shape[1]
-
-    @property
     def n_frames(self) -> int:
         return self.activation.shape[1]
 
 
-def init_nmf(n_bins: int, n_frames: int, n_components: int = 2, seed: int = 0) -> NmfModel:
+def init_nmf(n_bins: int, n_frames: int, n_components: int, seed: int = 0) -> NmfModel:
     """Random model with entries i.i.d. uniform on (floor, 1]."""
     if min(n_bins, n_frames, n_components) < 1:
         raise ValueError("all dimensions must be >= 1")
@@ -72,14 +68,6 @@ def init_nmf(n_bins: int, n_frames: int, n_components: int = 2, seed: int = 0) -
 def variance(model: NmfModel) -> np.ndarray:
     """Modeled variance W @ H, floored."""
     return np.maximum(model.basis @ model.activation, model.floor)
-
-
-def is_divergence(power: np.ndarray, lam: np.ndarray, floor: float = EPS) -> float:
-    """Itakura-Saito divergence sum(p/l - log(p/l) - 1)."""
-    p = np.maximum(np.asarray(power, dtype=np.float64), floor)
-    l = np.maximum(np.asarray(lam, dtype=np.float64), floor)
-    ratio = p / l
-    return float(np.sum(ratio - np.log(ratio) - 1.0))
 
 
 def is_update(model: NmfModel, power: np.ndarray) -> NmfModel:

@@ -44,7 +44,6 @@ class RoomScene:
     t60: float
     max_rir_len: int
     sample_rate: int
-    speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self):
         self.dimensions = np.asarray(self.dimensions, dtype=np.float64).reshape(3)
@@ -192,7 +191,7 @@ def image_source_rir(scene: RoomScene) -> Rir:
     parity, shifts, refl = _image_grid(max_order)
     gains = beta**refl
     fs = scene.sample_rate
-    c = scene.speed_of_sound
+    c = SPEED_OF_SOUND
 
     # image positions depend on the source only: (1-2p)*src + 2*r*L
     length = None
@@ -277,7 +276,6 @@ def make_scene_sisec(
     t60: float,
     angle1: float,
     angle2: float,
-    seed: int = 0,
     sample_rate: int = 16000,
 ) -> RoomScene:
     """Two-source, two-mic scene in an 8 x 8 x 3 m room.
@@ -285,14 +283,12 @@ def make_scene_sisec(
     Mics sit at the room center (height 1.5 m) spaced 5.66 cm along the
     x axis; sources stand 2 m from the array center at the given angles
     measured from broadside (the +y direction), angle1 in [0, 90] and
-    angle2 in [-90, 0] degrees. ``seed`` is reserved for randomized
-    scene variants and does not affect this fixed geometry.
+    angle2 in [-90, 0] degrees.
     """
     if not 0.0 <= angle1 <= 90.0:
         raise ValueError("angle1 must lie in [0, 90] degrees")
     if not -90.0 <= angle2 <= 0.0:
         raise ValueError("angle2 must lie in [-90, 0] degrees")
-    del seed
     center = np.array([SISEC_ROOM[0] / 2.0, SISEC_ROOM[1] / 2.0, ARRAY_HEIGHT])
     half = MIC_SPACING / 2.0
     mics = np.array([center + [-half, 0, 0], center + [half, 0, 0]])

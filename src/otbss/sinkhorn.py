@@ -78,7 +78,7 @@ def build_cost_sq(n_bins: int) -> np.ndarray:
     return ((idx[:, None] - idx[None, :]) / n_bins) ** 2
 
 
-def gibbs_kernel(cost: np.ndarray, mu: float, eps_floor: float = EPS_FLOOR) -> np.ndarray:
+def gibbs_kernel(cost: np.ndarray, mu: float) -> np.ndarray:
     """Elementwise exp(-mu*C - 1), floored where it underflows to zero."""
     if mu < 0:
         raise ValueError("mu must be nonnegative")
@@ -90,7 +90,7 @@ def gibbs_kernel(cost: np.ndarray, mu: float, eps_floor: float = EPS_FLOOR) -> n
             "flooring (mu is very large for this cost scale)",
             stacklevel=2,
         )
-        kernel[zeros] = eps_floor
+        kernel[zeros] = EPS_FLOOR
     return kernel
 
 

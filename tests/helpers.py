@@ -10,7 +10,10 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import logsumexp, xlogy
 
+from otbss.errors import CapabilityError
+from otbss.kron import MATERIALIZE_MAX_BINS
 from otbss.metrics import CLAMP_DB, _db
+from otbss.nmf import EPS
 
 ACCEPTANCE_VERDICTS = []
 
@@ -36,6 +39,35 @@ def dft_one_sided(frame: np.ndarray) -> np.ndarray:
     return np.array(
         [np.sum(frame * np.exp(-2j * np.pi * f * n / L)) for f in range(L // 2 + 1)]
     )
+
+
+def is_divergence(power: np.ndarray, lam: np.ndarray, floor: float = EPS) -> float:
+    """Itakura-Saito divergence sum(p/l - log(p/l) - 1)."""
+    p = np.maximum(np.asarray(power, dtype=np.float64), floor)
+    l = np.maximum(np.asarray(lam, dtype=np.float64), floor)
+    ratio = p / l
+    return float(np.sum(ratio - np.log(ratio) - 1.0))
+
+
+def materialize_kron_sum(cost) -> np.ndarray:
+    """Dense C[i,j] = sum_q C_q[i_q, j_q] of a ``kron.KroneckerCost``.
+
+    Each summand broadcasts its table across the other digits (all-ones
+    blocks in Kronecker position, not identities): that is the sum the
+    entrywise exponential turns into a Kronecker product of kernels.
+    """
+    if cost.n_bins > MATERIALIZE_MAX_BINS:
+        raise CapabilityError(
+            f"refusing to materialize a {cost.n_bins}x{cost.n_bins} Kronecker sum"
+        )
+    total = np.zeros((cost.n_bins, cost.n_bins))
+    for q, factor in enumerate(cost.factors):
+        term = np.ones((1, 1))
+        for r, f in enumerate(cost.dims):
+            block = factor if r == q else np.ones((f, f))
+            term = np.kron(term, block)
+        total += term
+    return total
 
 
 def reference_ip_update(demixing, data, variances) -> np.ndarray:

@@ -14,13 +14,13 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import ACCEPTANCE_VERDICTS, schroeder_t60
+from helpers import ACCEPTANCE_VERDICTS, is_divergence, materialize_kron_sum, schroeder_t60
 from otbss.audio import StftConfig, TimeSignal, istft, read_wav, stft
 from otbss.cli import EXIT_OK, main
 from otbss.engine import SeparationConfig, separate
-from otbss.kron import factorized_kernel, kron_sum_cost, materialize_kron_sum
+from otbss.kron import factorized_kernel, kron_sum_cost
 from otbss.metrics import improvement, sdr_sir
-from otbss.nmf import init_nmf, is_divergence, is_update, variance
+from otbss.nmf import init_nmf, is_update, variance
 from otbss.roomsim import convolve_mix, image_source_rir, make_scene_sisec, synth_speech
 from otbss.sinkhorn import SinkhornParams, build_cost_sq, compute_frame_marginals, gibbs_kernel
 
@@ -183,7 +183,7 @@ def test_05_oracle_variances_drive_demixing_home():
             + 1j * rng.standard_normal((2, n_bins, n_frames))
         ) / np.sqrt(2.0)
         x = np.einsum("mn,nft->mft", mix, np.sqrt(lam) * z)
-        d = init_demixing(2, 2, n_bins)
+        d = init_demixing(2, n_bins)
         for _ in range(30):
             d = ip_update(d, x, lam)
         ratios = []

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import otbss
+from otbss import cli
 from otbss.audio import read_wav
 from otbss.cli import EXIT_CONFIG, EXIT_OK, main
 
@@ -317,20 +318,53 @@ class TestBenchmark:
         assert all(np.isfinite(float(r["sdr_imp_db"])) for r in rows)
 
     def test_deterministic_modulo_wall_ms(self, bench_csv, tmp_path):
+        # a rerun gives the same CSV, and so does a rerun on two workers
         plan, out = bench_csv
-        again = tmp_path / "bench2.csv"
-        assert main(["benchmark", "--config", plan, "--out", str(again)]) == EXIT_OK
 
         def strip(path):
             data, comments = _split_rows(path)
             return [",".join(r.split(",")[:6] + r.split(",")[7:]) for r in data], comments
 
-        assert strip(again) == strip(out)
+        for jobs in ("1", "2"):
+            again = tmp_path / f"bench-jobs{jobs}.csv"
+            assert main(["benchmark", "--config", plan, "--out", str(again), "--jobs", jobs]) == EXIT_OK
+            assert strip(again) == strip(out), f"--jobs {jobs}"
 
     def test_unknown_method_in_plan_exits_2(self, tmp_path, capsys):
         plan = _write_json(tmp_path / "plan.json", {"schema": 1, "methods": ["auxiva"]})
         assert main(["benchmark", "--config", plan, "--out", str(tmp_path / "b.csv")]) == EXIT_CONFIG
         assert "auxiva" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"window_len": 1000, "duration": 0.5},
+            {"duration": 0.0},
+            {"seed": -1, "duration": 0.5},
+            {"t60_grid": 0.3},
+        ],
+        ids=["window_len", "duration", "seed", "t60_grid"],
+    )
+    def test_bad_plan_value_starts_no_cell(self, tmp_path, monkeypatch, capsys, bad, jobs):
+        # forked workers inherit the patch; each call leaves a line in the log
+        calls = tmp_path / "calls.log"
+        simulate = cli._simulate_scene
+
+        def counted(cfg):
+            with calls.open("a") as fh:
+                fh.write("call\n")
+            return simulate(cfg)
+
+        monkeypatch.setattr(cli, "_simulate_scene", counted)
+        plan = _write_json(
+            tmp_path / "plan.json",
+            {"schema": 1, "t60_grid": [0.0, 0.1], "trials": 2, "methods": ["ilrma"], "outer_iters": 1, **bad},
+        )
+        code = main(["benchmark", "--config", plan, "--out", str(tmp_path / "b.csv"), "--jobs", jobs])
+        assert code == EXIT_CONFIG
+        assert not calls.exists()
+        assert "otbss: error:" in capsys.readouterr().err
 
     def test_unknown_plan_key_exits_2(self, tmp_path):
         plan = _write_json(tmp_path / "plan.json", {"schema": 1, "reverb_grid": [0.1]})

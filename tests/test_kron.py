@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import materialize_kron_sum
 from otbss.errors import CapabilityError, FactorizationError
 from otbss.kron import (
     FactorizedKernel,
@@ -12,7 +13,6 @@ from otbss.kron import (
     factorize_bins,
     factorized_kernel,
     kron_sum_cost,
-    materialize_kron_sum,
 )
 from otbss.sinkhorn import build_cost_sq
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from helpers import is_divergence
 from otbss.nmf import (
     EPS,
     NmfModel,
     init_nmf,
-    is_divergence,
     is_update,
     variance,
 )
