@@ -72,10 +72,13 @@ def _int_value(value):
     return int(value)
 
 
-def _bool_value(value):
-    if not isinstance(value, bool):
-        raise ConfigError(f"expected true or false, got {value!r}")
-    return value
+def _list_value(convert):
+    def check(value):
+        if not isinstance(value, list):
+            raise ConfigError(f"expected a list, got {value!r}")
+        return [convert(x) for x in value]
+
+    return check
 
 
 def _load_config(path, known: dict) -> dict:
@@ -104,7 +107,7 @@ def _load_config(path, known: dict) -> dict:
         if key in data:
             try:
                 out[key] = convert(data[key])
-            except (ConfigError, TypeError) as err:  # TypeError: a scalar for a list
+            except (ConfigError, TypeError) as err:  # TypeError: a non-numeric geometry
                 raise ConfigError(f"{path}: key {key!r}: {err}") from err
         else:
             out[key] = default
@@ -154,14 +157,13 @@ _SEPARATION_KEYS = {
     "n_sources": (None, _int_value),
     **_SHARED_KEYS,
     "ref_mic": (SeparationConfig.ref_mic, _int_value),
-    "kron_dims": (SeparationConfig.kron_dims, lambda v: tuple(_int_value(d) for d in v)),
-    "verbatim_updates": (SeparationConfig.verbatim_updates, _bool_value),
+    "kron_dims": (SeparationConfig.kron_dims, _list_value(_int_value)),
 }
 
 _PLAN_KEYS = {
-    "t60_grid": (list(DEFAULT_T60_GRID), lambda v: [_float_value(x) for x in v]),
+    "t60_grid": (list(DEFAULT_T60_GRID), _list_value(_float_value)),
     "trials": (5, _int_value),
-    "methods": (["ilrma", "sdilrma-kron"], lambda v: [str(m) for m in v]),
+    "methods": (["ilrma", "sdilrma-kron"], _list_value(str)),
     "angle_seed": (0, _int_value),
     "duration": _SCENE_KEYS["duration"],
     "sample_rate": _SCENE_KEYS["sample_rate"],
@@ -219,7 +221,6 @@ def _separation_config(cfg: dict) -> SeparationConfig:
             ref_mic=cfg["ref_mic"],
             seed=cfg["seed"],
             stft=StftConfig(window_len=cfg["window_len"], hop=cfg["hop"]),
-            verbatim_updates=cfg["verbatim_updates"],
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err

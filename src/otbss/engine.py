@@ -49,9 +49,6 @@ class SeparationConfig:
     the separable transport cost; the kron method factorizes the bin
     count automatically when it is omitted, and the dense method then
     uses the exact quadratic cost instead of the separable surrogate.
-    ``verbatim_updates`` switches the transport-driven model update to
-    the variant whose denominators sum the transported mass itself; it
-    is rejected for ``ilrma``, which has no transported mass.
     """
 
     method: str = "ilrma"
@@ -62,7 +59,6 @@ class SeparationConfig:
     ref_mic: int = 0
     seed: int = 0
     stft: StftConfig = StftConfig()
-    verbatim_updates: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -78,8 +74,6 @@ class SeparationConfig:
             if any(d < 1 for d in dims):
                 raise ValueError("kron_dims must be positive")
             object.__setattr__(self, "kron_dims", dims)
-        if self.verbatim_updates and self.method == "ilrma":
-            raise ValueError("verbatim_updates applies only to the sdilrma methods")
 
 
 class IterationRecord(NamedTuple):
@@ -254,9 +248,7 @@ def normalize(demixing: np.ndarray, models: list, estimates: np.ndarray, power: 
             warnings.warn(f"source {n} has zero power; normalization skipped")
             out_models.append(model)
             continue
-        out_models.append(
-            NmfModel(model.basis / rho[n] ** 2, model.activation, model.floor)
-        )
+        out_models.append(NmfModel(model.basis / rho[n] ** 2, model.activation))
     rho[rho == 0] = 1.0
     out_d = demixing / rho[None, :, None]
     out_est = est / rho[:, None, None]
@@ -277,34 +269,6 @@ def ilrma_objective(power: np.ndarray, variances: np.ndarray, demixing: np.ndarr
         raise DemixingNumericError("singular demixing matrix in objective")
     source_fit = float(np.sum(p / lam) + np.sum(np.log(lam)))
     return -source_fit + 2.0 * n_frames * float(np.sum(logdet))
-
-
-def sd_update_source_model(
-    model: NmfModel, marginals: np.ndarray, verbatim_updates: bool = False
-) -> NmfModel:
-    """Multiplicative model update driven by transported mass.
-
-    The default form is the Itakura-Saito multiplicative rule with the
-    per-frame transported mass in place of the observed power, so a
-    marginal equal to the current variance is a fixed point. The
-    verbatim form instead keeps the transported mass in the
-    denominators and drops the basis/activation weights there.
-    """
-    marg = np.asarray(marginals, dtype=np.float64)
-    if marg.shape != (model.n_bins, model.n_frames):
-        raise ValueError("marginals must match the modeled variance shape")
-    if not verbatim_updates:
-        return is_update(model, marg)
-    floor = model.floor
-    basis = model.basis
-    act = model.activation
-    lam = np.maximum(basis @ act, floor)
-    den_w = np.maximum(np.sum(marg / lam, axis=1, keepdims=True), floor)
-    basis = basis * np.sqrt(((marg / lam**2) @ act.T) / den_w)
-    lam = np.maximum(np.maximum(basis, floor) @ act, floor)
-    den_h = np.maximum(np.sum(marg / lam, axis=0, keepdims=True), floor)
-    act = act * np.sqrt((np.maximum(basis, floor).T @ (marg / lam**2)) / den_h)
-    return NmfModel(basis, act, floor)
 
 
 def _transport_objective(
@@ -333,7 +297,7 @@ def back_project(estimates, demixing: np.ndarray, ref_mic: int):
 
     Images y_n * [D_f^{-1}]_{ref,n} resolve the per-frequency scale
     ambiguity; across sources they always sum to the observed
-    reference channel.
+    reference channel. Arrays in, arrays out.
     """
     data = _as_data(estimates)
     n_src = data.shape[0]
@@ -347,10 +311,7 @@ def back_project(estimates, demixing: np.ndarray, ref_mic: int):
         warnings.warn("singular demixing matrix; using a pseudoinverse for images")
         inverse = np.linalg.pinv(demixing)
     coeff = inverse[:, ref_mic, :]
-    images = data * coeff.T[:, :, None]
-    if isinstance(estimates, Spectrogram):
-        return _like(estimates, images)
-    return images
+    return data * coeff.T[:, :, None]
 
 
 def _prepare(mixture: Spectrogram, cfg: SeparationConfig, n_sources):
@@ -405,13 +366,14 @@ def separate(
 ) -> SeparationResult:
     """Separate with the configured method: one outer loop for all of them.
 
-    Each outer iteration fits every source model to a target, sweeps
-    the demixing matrices by iterative projection, renormalizes, and
-    records an objective. ILRMA's target is the demixed power |y_n|^2.
-    SDILRMA's target is the row marginals of one relaxed transport
-    problem per (source, frame) between |y_n|^2 and the modeled
-    variance, all sources side by side in one batched solve over the
-    shared kernel, warm started from the previous iteration.
+    Each outer iteration fits every source model to a target with the
+    one Itakura-Saito update, sweeps the demixing matrices by iterative
+    projection, renormalizes, and records an objective. ILRMA's target
+    is the demixed power |y_n|^2. SDILRMA's target is the row marginals
+    of one relaxed transport problem per (source, frame) between
+    |y_n|^2 and the modeled variance, all sources side by side in one
+    batched solve over the shared kernel, warm started from the
+    previous iteration.
     """
     data, demixing, estimates, models = _prepare(mixture, cfg, n_sources)
     n_src, n_bins, n_frames = data.shape
@@ -436,9 +398,7 @@ def separate(
                 raise SinkhornNumericError(msg, iteration=err.iteration, context=where) from err
             objective = _transport_objective(cache, flat_power, flat_lam, cfg.sinkhorn)
             target = np.hsplit(cache.row, n_src)
-        models = [
-            sd_update_source_model(m, t, cfg.verbatim_updates) for m, t in zip(models, target)
-        ]
+        models = [is_update(m, t) for m, t in zip(models, target)]
         demixing = ip_update(demixing, data, np.stack([variance(m) for m in models]))
         estimates = _demix(demixing, data)
         source_power = np.mean(np.abs(estimates) ** 2, axis=(1, 2))

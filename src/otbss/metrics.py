@@ -110,13 +110,13 @@ def _filtered(spectra: np.ndarray, coeffs: np.ndarray, n_fft: int, out_len: int)
     return np.fft.irfft(spectra[:, None, :] * taps, n_fft)[..., :out_len]
 
 
-def _db(num: float, den: float, clamp: float) -> float:
+def _db(num: float, den: float) -> float:
     tiny = np.finfo(np.float64).tiny
     if num <= tiny:
-        return -clamp
+        return -CLAMP_DB
     if den <= tiny:
-        return clamp
-    return float(np.clip(10.0 * np.log10(num / den), -clamp, clamp))
+        return CLAMP_DB
+    return float(np.clip(10.0 * np.log10(num / den), -CLAMP_DB, CLAMP_DB))
 
 
 def _scores(est: np.ndarray, refs: np.ndarray, flen: int) -> tuple:
@@ -155,12 +155,12 @@ def _scores(est: np.ndarray, refs: np.ndarray, flen: int) -> tuple:
         for j in range(n_src):
             interf = proj_all[i] - target[j, i]
             t_energy = float(np.sum(target[j, i] ** 2))
-            sdr[i, j] = _db(t_energy, float(np.sum((interf + artif) ** 2)), CLAMP_DB)
-            sir[i, j] = _db(t_energy, float(np.sum(interf**2)), CLAMP_DB)
+            sdr[i, j] = _db(t_energy, float(np.sum((interf + artif) ** 2)))
+            sir[i, j] = _db(t_energy, float(np.sum(interf**2)))
     return sdr, sir
 
 
-def sdr_sir(estimates, references, filter_len: int = FILTER_LEN) -> EvalResult:
+def sdr_sir(estimates, references) -> EvalResult:
     """Permutation-aligned SDR and SIR of estimates against references.
 
     For every (estimate, reference) pair the estimate is split into a
@@ -179,7 +179,7 @@ def sdr_sir(estimates, references, filter_len: int = FILTER_LEN) -> EvalResult:
     if np.any(energies == 0):
         raise ValueError("zero-energy reference")
     n_src = refs.shape[0]
-    sdr, sir = _scores(est, refs, int(filter_len))
+    sdr, sir = _scores(est, refs, FILTER_LEN)
 
     best_perm = None
     best_mean = -np.inf

@@ -21,12 +21,11 @@ class NmfModel:
     """Nonnegative factorization of an F x T variance matrix.
 
     ``basis`` is F x K, ``activation`` is K x T; both are floored at
-    ``floor`` so divisions and logs stay finite.
+    ``EPS`` so divisions and logs stay finite.
     """
 
     basis: np.ndarray
     activation: np.ndarray
-    floor: float = EPS
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=np.float64)
@@ -35,10 +34,8 @@ class NmfModel:
             raise ValueError("basis and activation must be matrices")
         if self.basis.shape[1] != self.activation.shape[0]:
             raise ValueError("basis columns must match activation rows")
-        if self.floor <= 0:
-            raise ValueError("floor must be positive")
-        self.basis = np.maximum(self.basis, self.floor)
-        self.activation = np.maximum(self.activation, self.floor)
+        self.basis = np.maximum(self.basis, EPS)
+        self.activation = np.maximum(self.activation, EPS)
 
     @property
     def n_bins(self) -> int:
@@ -50,7 +47,7 @@ class NmfModel:
 
 
 def init_nmf(n_bins: int, n_frames: int, n_components: int, seed: int = 0) -> NmfModel:
-    """Random model with entries i.i.d. uniform on (floor, 1]."""
+    """Random model with entries i.i.d. uniform on [EPS, 1)."""
     if min(n_bins, n_frames, n_components) < 1:
         raise ValueError("all dimensions must be >= 1")
     if n_components > min(n_bins, n_frames):
@@ -67,7 +64,7 @@ def init_nmf(n_bins: int, n_frames: int, n_components: int, seed: int = 0) -> Nm
 
 def variance(model: NmfModel) -> np.ndarray:
     """Modeled variance W @ H, floored."""
-    return np.maximum(model.basis @ model.activation, model.floor)
+    return np.maximum(model.basis @ model.activation, EPS)
 
 
 def is_update(model: NmfModel, power: np.ndarray) -> NmfModel:
@@ -75,25 +72,26 @@ def is_update(model: NmfModel, power: np.ndarray) -> NmfModel:
 
     The square-root multiplicative rules are the standard majorization
     steps for the Itakura-Saito objective; each half-step is
-    guaranteed not to increase the divergence.
+    guaranteed not to increase the divergence. ``power`` is whatever
+    the model is fitted to: the demixed power for ILRMA, the transport
+    marginals for SDILRMA.
     """
-    p = np.maximum(np.asarray(power, dtype=np.float64), model.floor)
+    p = np.maximum(np.asarray(power, dtype=np.float64), EPS)
     if p.shape != (model.n_bins, model.n_frames):
         raise ValueError("power shape must match (n_bins, n_frames)")
-    eps = model.floor
 
     w, h = model.basis, model.activation
-    lam = np.maximum(w @ h, eps)
+    lam = np.maximum(w @ h, EPS)
     ratio = p / lam**2
     numer = ratio @ h.T
     denom = (1.0 / lam) @ h.T
-    w = np.maximum(w * np.sqrt(numer / np.maximum(denom, eps)), eps)
+    w = np.maximum(w * np.sqrt(numer / np.maximum(denom, EPS)), EPS)
 
-    lam = np.maximum(w @ h, eps)
+    lam = np.maximum(w @ h, EPS)
     ratio = p / lam**2
     numer = w.T @ ratio
     denom = w.T @ (1.0 / lam)
-    h = np.maximum(h * np.sqrt(numer / np.maximum(denom, eps)), eps)
+    h = np.maximum(h * np.sqrt(numer / np.maximum(denom, EPS)), EPS)
 
-    return NmfModel(basis=w, activation=h, floor=eps)
+    return NmfModel(basis=w, activation=h)
 

@@ -12,7 +12,7 @@ from scipy.special import logsumexp, xlogy
 
 from otbss.errors import CapabilityError
 from otbss.kron import MATERIALIZE_MAX_BINS
-from otbss.metrics import CLAMP_DB, _db
+from otbss.metrics import _db
 from otbss.nmf import EPS
 
 ACCEPTANCE_VERDICTS = []
@@ -184,6 +184,6 @@ def reference_sdr_sir_scores(est, refs, flen):
             interf = proj_all - target
             artif = padded - proj_all
             t_energy = float(np.sum(target**2))
-            sdr[i, j] = _db(t_energy, float(np.sum((interf + artif) ** 2)), CLAMP_DB)
-            sir[i, j] = _db(t_energy, float(np.sum(interf**2)), CLAMP_DB)
+            sdr[i, j] = _db(t_energy, float(np.sum((interf + artif) ** 2)))
+            sir[i, j] = _db(t_energy, float(np.sum(interf**2)))
     return sdr, sir

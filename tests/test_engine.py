@@ -19,7 +19,6 @@ from helpers import (
     dense_marginals,
     dense_plan,
     dense_plan_objective,
-    is_divergence,
     materialize_kron_sum,
     plain_scalings,
     reference_ip_update,
@@ -36,7 +35,6 @@ from otbss.engine import (
     init_demixing,
     ip_update,
     normalize,
-    sd_update_source_model,
     separate,
 )
 from otbss.errors import DemixingNumericError, SinkhornNumericError
@@ -318,35 +316,6 @@ class TestIlrmaObjective:
     def test_singular_demixing_rejected(self):
         with pytest.raises(DemixingNumericError):
             ilrma_objective(np.ones((1, 2, 2)), np.ones((1, 2, 2)), np.zeros((2, 1, 1), dtype=complex))
-
-
-class TestSdUpdateSourceModel:
-    def test_matching_marginal_is_fixed_point(self):
-        model = init_nmf(6, 8, 2, seed=7)
-        updated = sd_update_source_model(model, variance(model))
-        np.testing.assert_allclose(variance(updated), variance(model), rtol=1e-10)
-
-    def test_fit_never_degrades(self):
-        rng = np.random.default_rng(8)
-        for trial in range(20):
-            model = init_nmf(9, 8, 2, seed=100 + trial)
-            marg = rng.uniform(0.1, 3.0, size=(9, 8))
-            before = is_divergence(marg, variance(model))
-            after = is_divergence(marg, variance(sd_update_source_model(model, marg)))
-            assert after <= before + 1e-10
-
-    def test_verbatim_variant_differs_but_stays_positive(self):
-        rng = np.random.default_rng(9)
-        model = init_nmf(5, 6, 2, seed=10)
-        marg = rng.uniform(0.1, 3.0, size=(5, 6))
-        default = sd_update_source_model(model, marg)
-        verbatim = sd_update_source_model(model, marg, verbatim_updates=True)
-        assert np.all(variance(verbatim) > 0)
-        assert not np.allclose(variance(verbatim), variance(default))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            sd_update_source_model(init_nmf(5, 6, 2), np.ones((6, 5)))
 
 
 class TestComputeFrameMarginals:
@@ -680,12 +649,6 @@ class TestSeparationConfig:
         with pytest.raises(Exception):
             cfg.method = "ilrma"
 
-    def test_verbatim_updates_rejected_for_ilrma(self):
-        with pytest.raises(ValueError, match="verbatim_updates"):
-            SeparationConfig(method="ilrma", verbatim_updates=True)
-        for method in METHODS[1:]:
-            assert SeparationConfig(method=method, verbatim_updates=True).verbatim_updates
-
     def test_methods_tuple(self):
         assert METHODS == ("ilrma", "sdilrma-dense", "sdilrma-kron")
 
@@ -782,15 +745,6 @@ class TestRunSdilrma:
         obj = [r.objective for r in result.trace]
         assert all(np.isfinite(obj))
         assert obj[-1] < obj[0]
-
-    def test_verbatim_updates_run(self):
-        mixture, _, _ = _speech_scene(duration=0.4)
-        cfg = SeparationConfig(
-            method="sdilrma-kron", outer_iters=3, seed=5, verbatim_updates=True
-        )
-        result = separate(mixture, cfg)
-        assert np.all(np.isfinite(result.estimates.data))
-        assert all(np.isfinite(r.objective) for r in result.trace)
 
     @pytest.mark.parametrize("channel", [0, 1])
     def test_non_finite_frame_names_source_and_frame(self, channel):

@@ -134,6 +134,10 @@ class TestIsUpdate:
         assert np.all(m.basis >= EPS)
         assert np.all(m.activation >= EPS)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            is_update(init_nmf(5, 6, 2), np.ones((6, 5)))
+
     def test_does_not_mutate_input(self):
         m = init_nmf(6, 6, 2, seed=8)
         w0 = m.basis.copy()
