@@ -52,7 +52,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 N_SPEAKERS = 2
 DEFAULT_T60_GRID = tuple(round(0.05 * i, 2) for i in range(13))
-PAPER_SCALE_TRIALS = 100
 BENCH_FIELDS = ("t60", "trial", "method", "source", "sdr_imp_db", "sir_imp_db", "wall_ms", "status")
 
 
@@ -252,7 +251,8 @@ def cmd_separate(args) -> int:
         writer.writerow(["iteration", "objective"])
         for record in result.trace:
             writer.writerow([record.iteration, f"{record.objective:.6f}"])
-    echo = {"schema": SCHEMA_VERSION, **cfg}
+    # unset keys (None) are left out, so the echo passes back as --config
+    echo = {"schema": SCHEMA_VERSION, **{k: v for k, v in cfg.items() if v is not None}}
     (out / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n")
     log.info("separated %s with %s into %s", args.input, cfg["method"], out)
     return EXIT_OK
@@ -345,8 +345,6 @@ def cmd_benchmark(args) -> int:
     plan = _load_config(args.config, _PLAN_KEYS)
     if args.seed is not None:
         plan["seed"] = args.seed
-    if args.paper_scale:
-        plan["trials"] = PAPER_SCALE_TRIALS
     if plan["trials"] < 1:
         raise ConfigError("trials must be >= 1")
     if any(t < 0 for t in plan["t60_grid"]):
@@ -431,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--config", help="benchmark plan JSON")
     bench.add_argument("--out", required=True, help="output CSV path")
     bench.add_argument("--jobs", type=int, default=1, help="concurrent benchmark cells")
-    bench.add_argument("--paper-scale", action="store_true", help="run 100 trials per cell")
     bench.add_argument("--seed", type=int, help="override the plan seed")
     bench.set_defaults(func=cmd_benchmark)
     return parser

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,21 +38,11 @@ class EvalResult:
     permutation: tuple
 
 
-class Improvement(tuple):
+class Improvement(NamedTuple):
     """Per-source (sdr, sir) dB deltas of processed over unprocessed."""
 
-    __slots__ = ()
-
-    def __new__(cls, sdr, sir):
-        return super().__new__(cls, (np.asarray(sdr), np.asarray(sir)))
-
-    @property
-    def sdr(self):
-        return self[0]
-
-    @property
-    def sir(self):
-        return self[1]
+    sdr: np.ndarray
+    sir: np.ndarray
 
 
 def _as_mono(signals, what: str) -> np.ndarray:

@@ -155,16 +155,24 @@ def _image_grid(max_order: int):
 
 
 def _windowed_sinc_add(out: np.ndarray, delays: np.ndarray, amps: np.ndarray) -> None:
-    """Accumulate Hann-windowed sinc pulses at fractional sample delays."""
+    """Accumulate Hann-windowed sinc pulses at fractional sample delays.
+
+    Pulses whose first tap lies past the end of ``out`` add nothing and
+    are dropped before they are evaluated. Every remaining tap lies in
+    [-w, len(out) + 2w), so one bincount into a buffer padded by w in
+    front and 2w behind takes them all without a mask.
+    """
     w = SINC_HALF_WIDTH
+    n = out.shape[0]
     centers = np.round(delays).astype(np.int64)
-    offsets = np.arange(-w, w + 1)
-    taps_idx = centers[:, None] + offsets[None, :]
-    x = taps_idx - delays[:, None]
-    window = np.where(np.abs(x) <= w, 0.5 * (1.0 + np.cos(np.pi * x / w)), 0.0)
-    vals = amps[:, None] * np.sinc(x) * window
-    mask = (taps_idx >= 0) & (taps_idx < out.shape[0])
-    out += np.bincount(taps_idx[mask], weights=vals[mask], minlength=out.shape[0])
+    keep = centers - w < n
+    taps_idx = centers[keep, None] + np.arange(-w, w + 1)[None, :]
+    x = taps_idx - delays[keep, None]
+    vals = np.sinc(x)
+    vals *= amps[keep, None]
+    vals *= np.where(np.abs(x) <= w, 0.5 * (1.0 + np.cos(np.pi * x / w)), 0.0)
+    taps_idx += w
+    out += np.bincount(taps_idx.ravel(), weights=vals.ravel(), minlength=n + 3 * w)[w : w + n]
 
 
 def image_source_rir(scene: RoomScene) -> Rir:
@@ -189,33 +197,20 @@ def image_source_rir(scene: RoomScene) -> Rir:
         # reflection loss alone reaches -60 dB after -3/log10(beta) hits
         max_order = min(MAX_IMAGE_ORDER, int(np.ceil(-3.0 / np.log10(beta))))
     parity, shifts, refl = _image_grid(max_order)
-    gains = beta**refl
-    fs = scene.sample_rate
-    c = SPEED_OF_SOUND
 
-    # image positions depend on the source only: (1-2p)*src + 2*r*L
-    length = None
-    per_pair = []
-    for n in range(scene.n_sources):
-        src = scene.source_positions[n]
-        images = (1.0 - 2.0 * parity) * src[None, :] + 2.0 * shifts * scene.dimensions[None, :]
-        for m in range(scene.n_mics):
-            d = np.linalg.norm(images - scene.mic_positions[m][None, :], axis=1)
-            amps = gains / (4.0 * np.pi * d)
-            delays = d / c * fs
-            per_pair.append((delays, amps))
-            needed = int(np.ceil(delays.max())) + SINC_HALF_WIDTH + 1
-            length = needed if length is None else max(length, needed)
-
-    length = min(length, scene.max_rir_len)
+    # image positions (sources, images, 3) depend on the source only:
+    # (1-2p)*src + 2*r*L; distances are (sources, mics, images)
+    images = (1.0 - 2.0 * parity) * scene.source_positions[:, None, :]
+    images += 2.0 * shifts * scene.dimensions
+    d = np.linalg.norm(images[:, None, :, :] - scene.mic_positions[None, :, None, :], axis=-1)
+    amps = beta**refl / (4.0 * np.pi * d)
+    delays = d / SPEED_OF_SOUND * scene.sample_rate
+    length = min(int(np.ceil(delays.max())) + SINC_HALF_WIDTH + 1, scene.max_rir_len)
     taps = np.zeros((scene.n_sources, scene.n_mics, length))
-    k = 0
     for n in range(scene.n_sources):
         for m in range(scene.n_mics):
-            delays, amps = per_pair[k]
-            _windowed_sinc_add(taps[n, m], delays, amps)
-            k += 1
-    return Rir(taps=taps, sample_rate=fs)
+            _windowed_sinc_add(taps[n, m], delays[n, m], amps[n, m])
+    return Rir(taps=taps, sample_rate=scene.sample_rate)
 
 
 def convolve_mix(sources, rir: Rir):

@@ -14,6 +14,13 @@ from otbss.errors import CapabilityError
 from otbss.kron import MATERIALIZE_MAX_BINS
 from otbss.metrics import _db
 from otbss.nmf import EPS
+from otbss.roomsim import (
+    MAX_IMAGE_ORDER,
+    SINC_HALF_WIDTH,
+    SPEED_OF_SOUND,
+    _image_grid,
+    sabine_absorption,
+)
 
 ACCEPTANCE_VERDICTS = []
 
@@ -30,6 +37,49 @@ def schroeder_t60(taps: np.ndarray, sample_rate: int) -> float:
         raise AssertionError("decay never reaches -60 dB within the impulse response")
     direct = int(np.argmax(np.abs(taps)))
     return (below[0] - direct) / sample_rate
+
+
+def reference_windowed_sinc_add(out, delays, amps) -> None:
+    """Add Hann-windowed sinc pulses to ``out``, every tap evaluated.
+
+    Each pulse spans round(delay) +- SINC_HALF_WIDTH; taps outside
+    [0, len(out)) are masked out after evaluation.
+    """
+    w = SINC_HALF_WIDTH
+    centers = np.round(delays).astype(np.int64)
+    offsets = np.arange(-w, w + 1)
+    taps_idx = centers[:, None] + offsets[None, :]
+    x = taps_idx - delays[:, None]
+    window = np.where(np.abs(x) <= w, 0.5 * (1.0 + np.cos(np.pi * x / w)), 0.0)
+    vals = amps[:, None] * np.sinc(x) * window
+    mask = (taps_idx >= 0) & (taps_idx < out.shape[0])
+    out += np.bincount(taps_idx[mask], weights=vals[mask], minlength=out.shape[0])
+
+
+def reference_image_source_rir(scene) -> np.ndarray:
+    """Image-source taps (sources, mics, length) of a ``RoomScene``, pair by pair.
+
+    The image set, amplitudes and delays of ``roomsim.image_source_rir``,
+    evaluated one (source, mic) pair at a time into a buffer of the
+    longest pair's length, then cut to ``max_rir_len``.
+    """
+    beta = float(np.sqrt(max(0.0, 1.0 - sabine_absorption(scene.dimensions, scene.t60))))
+    if scene.t60 <= 0 or beta == 0.0:
+        max_order = 0
+    else:
+        max_order = min(MAX_IMAGE_ORDER, int(np.ceil(-3.0 / np.log10(beta))))
+    parity, shifts, refl = _image_grid(max_order)
+    per_pair = []
+    for src in scene.source_positions:
+        images = (1.0 - 2.0 * parity) * src[None, :] + 2.0 * shifts * scene.dimensions[None, :]
+        for mic in scene.mic_positions:
+            d = np.linalg.norm(images - mic[None, :], axis=1)
+            per_pair.append((d / SPEED_OF_SOUND * scene.sample_rate, beta**refl / (4.0 * np.pi * d)))
+    length = max(int(np.ceil(delays.max())) + SINC_HALF_WIDTH + 1 for delays, _ in per_pair)
+    taps = np.zeros((len(per_pair), min(length, scene.max_rir_len)))
+    for row, (delays, amps) in zip(taps, per_pair):
+        reference_windowed_sinc_add(row, delays, amps)
+    return taps.reshape(scene.n_sources, scene.n_mics, -1)
 
 
 def dft_one_sided(frame: np.ndarray) -> np.ndarray:

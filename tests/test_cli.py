@@ -158,6 +158,14 @@ class TestSeparate:
         assert main(["separate", str(sim_dir / "mixture.wav"), "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert (out / "est_0.wav").read_bytes() == (sep_dir / "est_0.wav").read_bytes()
 
+    def test_config_echo_passes_back_as_config(self, sim_dir, sep_dir, tmp_path):
+        # the echo leaves out the unset n_sources and kron_dims
+        out = tmp_path / "again"
+        echo = str(sep_dir / "config.json")
+        assert main(["separate", str(sim_dir / "mixture.wav"), "--config", echo, "--out", str(out)]) == EXIT_OK
+        for name in ("est_0.wav", "est_1.wav", "trace.csv"):
+            assert (out / name).read_bytes() == (sep_dir / name).read_bytes()
+
     def test_unknown_method_flag_exits_2(self, sim_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["separate", str(sim_dir / "mixture.wav"), "--method", "fastica", "--out", str(tmp_path / "x")])

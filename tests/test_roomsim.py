@@ -1,12 +1,16 @@
 """Room simulator checks: Sabine values, image-method physics, mixing.
 
 The FFT convolution and the FFT peak filter are checked against
-scipy's ``fftconvolve`` and ``lfilter(*iirpeak(...))``.
+scipy's ``fftconvolve`` and ``lfilter(*iirpeak(...))``; the impulse
+responses against a pair-by-pair, masked evaluation of the same image
+set (``helpers.reference_image_source_rir``).
 """
 
 import numpy as np
 import pytest
-from helpers import schroeder_t60
+from helpers import reference_image_source_rir, schroeder_t60
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from otbss import roomsim
 from otbss.audio import TimeSignal
@@ -88,7 +92,56 @@ def _pulse(length, delay, amp, half_width=40):
     return out
 
 
+def _triple(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=3, max_size=3).map(np.array)
+
+
+@st.composite
+def _small_rooms(draw):
+    """1-3 sources and mics at 8 kHz in a room of 2-6 m sides, T60 <= 0.3 s.
+
+    Some sources stand a few cm from a mic, so that pulses start before
+    tap 0; ``max_rir_len`` runs from 1 tap to past the longest delay.
+    """
+    dims = draw(_triple(2.0, 6.0))
+    mics = [draw(_triple(0.05, 0.95)) * dims for _ in range(draw(st.integers(1, 3)))]
+    sources = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            sources.append(draw(st.sampled_from(mics)) + draw(_triple(-0.05, 0.05)))
+        else:
+            sources.append(draw(_triple(0.05, 0.95)) * dims)
+    assume(all(np.linalg.norm(s - m) > 1e-3 for s in sources for m in mics))
+    return RoomScene(
+        dimensions=dims,
+        source_positions=np.array(sources),
+        mic_positions=np.array(mics),
+        t60=draw(st.floats(0.0, 0.3)),
+        max_rir_len=draw(st.integers(1, 8000)),
+        sample_rate=8000,
+    )
+
+
 class TestImageSourceRir:
+    @pytest.mark.filterwarnings("ignore:t60=")
+    @settings(max_examples=12, deadline=None)
+    @given(scene=_small_rooms())
+    def test_taps_equal_the_pair_by_pair_oracle_bit_for_bit(self, scene):
+        taps = image_source_rir(scene).taps
+        expected = reference_image_source_rir(scene)
+        assert taps.shape == expected.shape
+        assert taps.tobytes() == expected.tobytes()
+
+    def test_max_rir_len_before_the_direct_path_gives_zero_taps(self):
+        # the direct pulse spans taps 53..133 (delay 93.3 samples), every
+        # image pulse starts later still: all are dropped
+        scene = _simple_scene(t60=0.3)
+        scene.max_rir_len = 50
+        taps = image_source_rir(scene).taps
+        assert taps.shape == (1, 1, 50)
+        assert not np.any(taps)
+        assert taps.tobytes() == reference_image_source_rir(scene).tobytes()
+
     def test_anechoic_pulse_matches_analytic_form(self):
         # src-mic distance 2 m -> delay 2/343*16000 = 93.29 samples,
         # amplitude 1/(4*pi*2), fractional delay as windowed sinc
