@@ -3,10 +3,14 @@
 Rooms are rectangular with uniform wall absorption derived from the
 requested reverberation time by Sabine's formula. Impulse responses come
 from the image source method with fractional delays realized as
-Hann-windowed sinc pulses; mixtures are full linear convolutions of the
-per-(source, mic) impulse responses with the dry source signals. Both
-the convolutions and the peak filters of the speech-like test signal
-are products on a zero-padded numpy FFT grid; no scipy module is used.
+Hann-windowed sinc pulses, summed in factored form (trig once per
+image) over blocks of ``_PULSE_BLOCK`` images, so no (images, taps)
+array is formed; the taps agree with a direct evaluation to 1e-14 of
+each (source, mic) pair's direct-path amplitude. Mixtures are full
+linear convolutions of the per-(source, mic) impulse responses with the
+dry source signals. Both the convolutions and the peak filters of the
+speech-like test signal are products on a zero-padded numpy FFT grid;
+no scipy module is used.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .errors import DegenerateGeometryError
 SPEED_OF_SOUND = 343.0
 
 SINC_HALF_WIDTH = 40  # 81-tap Hann-windowed sinc for fractional delays
+
+_PULSE_BLOCK = 1024  # sinc pulses evaluated per block: bounds the (pulses, 81) temporaries
 
 MAX_IMAGE_ORDER = 30
 
@@ -157,22 +163,56 @@ def _image_grid(max_order: int):
 def _windowed_sinc_add(out: np.ndarray, delays: np.ndarray, amps: np.ndarray) -> None:
     """Accumulate Hann-windowed sinc pulses at fractional sample delays.
 
+    A pulse at delay D = c + f, with c = round(D) and f in [-1/2, 1/2],
+    has taps c + k for k in [-w, w]. Its value there is amp * sinc(k - f)
+    * 0.5 * (1 + cos(pi (k - f) / w)), evaluated in factored form:
+
+        sinc(k - f) = -(-1)^k sin(pi f) / (pi (k - f))
+        cos(pi (k - f) / w) = cos(pi k / w) cos(pi f / w) + sin(pi k / w) sin(pi f / w)
+
+    so the sines and cosines are taken once per pulse and once per tap
+    offset, and each tap costs one division. |k - f| > w can hold only
+    at k = -w (f > 0) and k = w (f < 0), where the window is zero; the
+    exact hit f = 0, k = 0 is the amplitude itself. Each tap agrees with
+    a direct evaluation of every sinc and cosine to within 1e-14 of the
+    summed |amplitude| of the pulses that reach it.
+
     Pulses whose first tap lies past the end of ``out`` add nothing and
-    are dropped before they are evaluated. Every remaining tap lies in
-    [-w, len(out) + 2w), so one bincount into a buffer padded by w in
-    front and 2w behind takes them all without a mask.
+    are dropped before they are evaluated. The rest are evaluated
+    ``_PULSE_BLOCK`` at a time, so the transient arrays hold at most
+    that many rows of 2w + 1 taps whatever the image count. Every tap
+    lies in [-w, len(out) + 2w), so each block's bincount into a buffer
+    padded by w in front and 2w behind takes them all without a mask.
     """
     w = SINC_HALF_WIDTH
     n = out.shape[0]
-    centers = np.round(delays).astype(np.int64)
+    k = np.arange(-w, w + 1)
+    sign = np.where(k % 2 == 0, -1.0, 1.0)
+    cos_k = np.cos(np.pi * k / w)
+    sin_k = np.sin(np.pi * k / w)
+    centers = np.round(delays)
     keep = centers - w < n
-    taps_idx = centers[keep, None] + np.arange(-w, w + 1)[None, :]
-    x = taps_idx - delays[keep, None]
-    vals = np.sinc(x)
-    vals *= amps[keep, None]
-    vals *= np.where(np.abs(x) <= w, 0.5 * (1.0 + np.cos(np.pi * x / w)), 0.0)
-    taps_idx += w
-    out += np.bincount(taps_idx.ravel(), weights=vals.ravel(), minlength=n + 3 * w)[w : w + n]
+    centers, delays, amps = centers[keep], delays[keep], amps[keep]
+    padded = np.zeros(n + 3 * w)
+    for lo in range(0, centers.shape[0], _PULSE_BLOCK):
+        c = centers[lo : lo + _PULSE_BLOCK]
+        a = amps[lo : lo + _PULSE_BLOCK]
+        f = delays[lo : lo + _PULSE_BLOCK] - c  # exact: c is within 1/2 of the delay
+        hit = f == 0.0
+        x = k - f[:, None]
+        x[hit, w] = 1.0  # the 0/0 tap, set below
+        vals = np.multiply.outer(0.5 / np.pi * a * np.sin(np.pi * f), sign)
+        vals /= x
+        window = np.multiply.outer(np.cos(np.pi * f / w), cos_k)
+        window += np.multiply.outer(np.sin(np.pi * f / w), sin_k)
+        window += 1.0
+        vals *= window
+        vals[f > 0.0, 0] = 0.0
+        vals[f < 0.0, 2 * w] = 0.0
+        vals[hit, w] = a[hit]
+        idx = c.astype(np.int64)[:, None] + (k + w)
+        padded += np.bincount(idx.ravel(), weights=vals.ravel(), minlength=n + 3 * w)
+    out += padded[w : w + n]
 
 
 def image_source_rir(scene: RoomScene) -> Rir:
