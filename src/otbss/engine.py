@@ -2,13 +2,14 @@
 
 Both methods run the same outer loop in ``separate``: per-source
 variance-model updates alternate with per-frequency demixing updates
-by iterative projection, a renormalization, and a trace record. The
-method picks only the target the models are fitted to and the
-objective the trace records. Plain ILRMA fits each model to the
-demixed power spectra directly; SDILRMA fits it to per-frame
-optimal-transport marginals between the demixed power and the modeled
-variance, which couples frequency bins through the transport cost. The
-marginals come from the one transport solver,
+by iterative projection, a renormalization of the demixed power |y|^2
+(formed once per iteration; the complex estimates only after the
+loop), and a trace record. The method picks only the target the
+models are fitted to and the objective the trace records. Plain ILRMA
+fits each model to the demixed power spectra directly; SDILRMA fits it
+to per-frame optimal-transport marginals between the demixed power and
+the modeled variance, which couples frequency bins through the
+transport cost. The marginals come from the one transport solver,
 ``sinkhorn.compute_frame_marginals``, over a dense Gibbs kernel or a
 Kronecker-factorized kernel that never materializes the F x F plan.
 They are not converged: each outer iteration's solve is warm-started
@@ -85,7 +86,7 @@ class IterationRecord(NamedTuple):
     relaxed transport objective of the solve at the start of the
     iteration, before that iteration's model and demixing updates;
     smaller is better. ``source_power`` is the mean demixed power of
-    each source before normalize.
+    each source before normalize, the rho_n^2 that normalize divides by.
     """
 
     iteration: int
@@ -227,46 +228,38 @@ def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray) -> np.ndarra
     return out
 
 
-def normalize(demixing: np.ndarray, models: list, estimates: np.ndarray, power: np.ndarray):
+def normalize(demixing: np.ndarray, models: list, power: np.ndarray, source_power: np.ndarray):
     """Rescale each source to unit mean power without changing the fit.
 
-    ``power`` is the mean demixed power of each source, the mean of
-    |estimates|^2 over bins and frames. Row n of every D_f, the demixed
-    spectra of source n, and the basis rows of model n are scaled by
-    1/rho_n, 1/rho_n, and 1/rho_n^2 with rho_n^2 = power[n], so the
-    demixed-model likelihood is untouched. Zero-power sources are left
-    alone with a warning.
+    ``power`` is the demixed power |y|^2 of every source, and
+    ``source_power`` its mean over bins and frames. Row n of every D_f,
+    the demixed power of source n, and the basis rows of model n are
+    scaled by 1/rho_n, 1/rho_n^2, and 1/rho_n^2 with
+    rho_n^2 = source_power[n], so the demixed-model likelihood is
+    untouched. Zero-power sources are left alone with a warning.
     """
-    est = np.asarray(estimates, dtype=np.complex128)
-    n_src = est.shape[0]
-    if len(models) != n_src or demixing.shape[1] != n_src or np.shape(power) != (n_src,):
-        raise ValueError("models, demixing, estimates, and power disagree on source count")
-    rho = np.sqrt(power)
-    out_models = []
-    for n, model in enumerate(models):
-        if rho[n] == 0:
-            warnings.warn(f"source {n} has zero power; normalization skipped")
-            out_models.append(model)
-            continue
-        out_models.append(NmfModel(model.basis / rho[n] ** 2, model.activation))
-    rho[rho == 0] = 1.0
-    out_d = demixing / rho[None, :, None]
-    out_est = est / rho[:, None, None]
-    return out_d, out_models, out_est
+    n_src = power.shape[0]
+    if len(models) != n_src or demixing.shape[1] != n_src or np.shape(source_power) != (n_src,):
+        raise ValueError("models, demixing, power, and source_power disagree on source count")
+    rho_sq = np.array(source_power, dtype=np.float64)
+    for n in np.flatnonzero(rho_sq == 0):
+        warnings.warn(f"source {n} has zero power; normalization skipped")
+    rho_sq[rho_sq == 0] = 1.0
+    out_models = [NmfModel(m.basis / r, m.activation) for m, r in zip(models, rho_sq)]
+    out_d = demixing / np.sqrt(rho_sq)[None, :, None]
+    return out_d, out_models, power / rho_sq[:, None, None]
 
 
-def ilrma_objective(power: np.ndarray, variances: np.ndarray, demixing: np.ndarray) -> float:
+def ilrma_objective(power: np.ndarray, variances: np.ndarray, logdet: np.ndarray) -> float:
     """Demixed-model log-likelihood with constants dropped.
 
-    -sum_{n,f,t} (|y|^2/lambda + log lambda) + 2T sum_f log|det D_f|.
-    Larger is better; the ILRMA sweep never decreases it.
+    -sum_{n,f,t} (|y|^2/lambda + log lambda) + 2T sum_f log|det D_f|,
+    with ``logdet`` the log|det D_f| of every bin, as ``slogdet``
+    returns it. Larger is better; the ILRMA sweep never decreases it.
     """
     lam = np.maximum(np.asarray(variances, dtype=np.float64), EPS)
     p = np.asarray(power, dtype=np.float64)
     n_frames = p.shape[-1]
-    _, logdet = np.linalg.slogdet(demixing)
-    if not np.all(np.isfinite(logdet)):
-        raise DemixingNumericError("singular demixing matrix in objective")
     source_fit = float(np.sum(p / lam) + np.sum(np.log(lam)))
     return -source_fit + 2.0 * n_frames * float(np.sum(logdet))
 
@@ -333,12 +326,10 @@ def _prepare(mixture: Spectrogram, cfg: SeparationConfig, n_sources):
     if data.shape[2] < 2:
         raise ValueError("need at least two frames")
     n_bins, n_frames = data.shape[1], data.shape[2]
-    demixing = init_demixing(n_src, n_bins)
-    estimates = data.copy()
     models = [
         init_nmf(n_bins, n_frames, cfg.n_basis, seed=cfg.seed + n) for n in range(n_src)
     ]
-    return data, demixing, estimates, models
+    return data, init_demixing(n_src, n_bins), models
 
 
 def _sd_kernel(n_bins: int, cfg: SeparationConfig):
@@ -368,20 +359,22 @@ def separate(
 
     Each outer iteration fits every source model to a target with the
     one Itakura-Saito update, sweeps the demixing matrices by iterative
-    projection, renormalizes, and records an objective. ILRMA's target
+    projection, renormalizes, and records an objective; one ``slogdet``
+    serves the singularity check and the ILRMA objective. ILRMA's target
     is the demixed power |y_n|^2. SDILRMA's target is the row marginals
     of one relaxed transport problem per (source, frame) between
     |y_n|^2 and the modeled variance, all sources side by side in one
     batched solve over the shared kernel, warm started from the
     previous iteration.
     """
-    data, demixing, estimates, models = _prepare(mixture, cfg, n_sources)
+    data, demixing, models = _prepare(mixture, cfg, n_sources)
     n_src, n_bins, n_frames = data.shape
     transport = cfg.method != "ilrma"
     kernel = _sd_kernel(n_bins, cfg) if transport else None
     cache = None
     trace = []
-    power = np.abs(estimates) ** 2
+    # D starts at the identity: the first demixed power is the mixture's
+    power = data.real**2 + data.imag**2
     lam = np.stack([variance(m) for m in models])
     for it in range(cfg.outer_iters):
         target = power
@@ -398,19 +391,23 @@ def separate(
                 raise SinkhornNumericError(msg, iteration=err.iteration, context=where) from err
             objective = _transport_objective(cache, flat_power, flat_lam, cfg.sinkhorn)
             target = np.hsplit(cache.row, n_src)
+            del flat_power, flat_lam  # not read again; held over, they raise peak RSS
         models = [is_update(m, t) for m, t in zip(models, target)]
         demixing = ip_update(demixing, data, np.stack([variance(m) for m in models]))
-        estimates = _demix(demixing, data)
-        source_power = np.mean(np.abs(estimates) ** 2, axis=(1, 2))
-        demixing, models, estimates = normalize(demixing, models, estimates, source_power)
-        if not np.all(np.isfinite(np.linalg.slogdet(demixing)[1])):
-            raise DemixingNumericError("demixing matrix became singular")
+        y = _demix(demixing, data)
+        power = y.real**2 + y.imag**2
+        del y, target  # likewise
+        source_power = power.mean(axis=(1, 2))
         # the next iteration's target, solve and objective read these
-        power = np.abs(estimates) ** 2
+        demixing, models, power = normalize(demixing, models, power, source_power)
+        logdet = np.linalg.slogdet(demixing)[1]
+        if not np.all(np.isfinite(logdet)):
+            raise DemixingNumericError("demixing matrix became singular")
         lam = np.stack([variance(m) for m in models])
         if not transport:
-            objective = ilrma_objective(power, lam, demixing)
+            objective = ilrma_objective(power, lam, logdet)
         trace.append(IterationRecord(it + 1, objective, tuple(source_power.tolist())))
+    estimates = _demix(demixing, data)
     images = back_project(estimates, demixing, cfg.ref_mic)
     return SeparationResult(
         estimates=_like(mixture, estimates),

@@ -144,20 +144,22 @@ def _image_grid(max_order: int):
     """All (mirror-parity, shift) image indices with reflection counts.
 
     Returns (parity p in {0,1}^3, integer shifts r, reflection counts)
-    filtered to total reflections <= max_order.
+    filtered to total reflections <= max_order, parity by parity.
     """
     half = max_order // 2 + 1
     shifts = np.arange(-half, half + 1)
-    parity = np.array(list(itertools.product((0, 1), repeat=3)))
     r = np.stack(np.meshgrid(shifts, shifts, shifts, indexing="ij"), axis=-1).reshape(-1, 3)
-    # wall hits per axis: |r - p| on the near wall, |r| on the far wall
-    refl = (
-        np.abs(r[None, :, :] - parity[:, None, :]) + np.abs(r[None, :, :])
-    ).sum(axis=-1)
-    keep = refl <= max_order
-    p_full = np.repeat(parity, r.shape[0], axis=0)[keep.ravel()]
-    r_full = np.tile(r, (parity.shape[0], 1))[keep.ravel()]
-    return p_full, r_full, refl[keep]
+    far = np.abs(r).sum(axis=1)
+    parity = np.array(list(itertools.product((0, 1), repeat=3)))
+    kept, refl = [], []
+    for p in parity:
+        # wall hits per axis: |r - p| on the near wall, |r| on the far wall
+        counts = np.abs(r - p).sum(axis=1) + far
+        keep = counts <= max_order
+        kept.append(r[keep])
+        refl.append(counts[keep])
+    sizes = [len(k) for k in kept]
+    return np.repeat(parity, sizes, axis=0), np.concatenate(kept), np.concatenate(refl)
 
 
 def _windowed_sinc_add(out: np.ndarray, delays: np.ndarray, amps: np.ndarray) -> None:

@@ -6,6 +6,8 @@ over speed. Also hosts the registry of end-to-end verdict lines that
 the terminal summary replays after the run.
 """
 
+import itertools
+
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import logsumexp, xlogy
@@ -18,7 +20,6 @@ from otbss.roomsim import (
     MAX_IMAGE_ORDER,
     SINC_HALF_WIDTH,
     SPEED_OF_SOUND,
-    _image_grid,
     sabine_absorption,
 )
 
@@ -56,19 +57,38 @@ def reference_windowed_sinc_add(out, delays, amps) -> None:
     out += np.bincount(taps_idx[mask], weights=vals[mask], minlength=out.shape[0])
 
 
+def reference_image_grid(max_order: int):
+    """(parity, shift, reflection count) of every image, one at a time.
+
+    Parities p in {0,1}^3, then shifts r, each in ``itertools.product``
+    order; the image reflects sum_i |r_i - p_i| + |r_i| times. A shift
+    with |r_i| = k on any axis reflects at least 2k - 1 times, so
+    |r_i| <= (max_order + 1) // 2 covers every image kept.
+    """
+    k = (max_order + 1) // 2
+    rows = []
+    for p in itertools.product((0, 1), repeat=3):
+        for r in itertools.product(range(-k, k + 1), repeat=3):
+            refl = sum(abs(ri - pi) + abs(ri) for ri, pi in zip(r, p))
+            if refl <= max_order:
+                rows.append((p, r, refl))
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*rows))
+
+
 def reference_image_source_rir(scene) -> np.ndarray:
     """Image-source taps (sources, mics, length) of a ``RoomScene``, pair by pair.
 
-    The image set, amplitudes and delays of ``roomsim.image_source_rir``,
-    evaluated one (source, mic) pair at a time into a buffer of the
-    longest pair's length, then cut to ``max_rir_len``.
+    The amplitudes and delays of ``roomsim.image_source_rir`` over the
+    image set of ``reference_image_grid``, evaluated one (source, mic)
+    pair at a time into a buffer of the longest pair's length, then cut
+    to ``max_rir_len``.
     """
     beta = float(np.sqrt(max(0.0, 1.0 - sabine_absorption(scene.dimensions, scene.t60))))
     if scene.t60 <= 0 or beta == 0.0:
         max_order = 0
     else:
         max_order = min(MAX_IMAGE_ORDER, int(np.ceil(-3.0 / np.log10(beta))))
-    parity, shifts, refl = _image_grid(max_order)
+    parity, shifts, refl = reference_image_grid(max_order)
     per_pair = []
     for src in scene.source_positions:
         images = (1.0 - 2.0 * parity) * src[None, :] + 2.0 * shifts * scene.dimensions[None, :]

@@ -23,6 +23,7 @@ from helpers import (
     plain_scalings,
     reference_ip_update,
 )
+from otbss import engine
 from otbss.audio import Spectrogram, StftConfig, TimeSignal, stft
 from otbss.engine import (
     METHODS,
@@ -69,9 +70,9 @@ def _random_spectrogram(rng, n_chan, n_bins, n_frames):
     return data
 
 
-def _mean_power(est):
-    """Mean demixed power of each source, as separate() hands it to normalize."""
-    return np.mean(np.abs(est) ** 2, axis=(1, 2))
+def _power(y):
+    """Demixed power |y|^2, recomputed here from the complex spectra."""
+    return np.abs(y) ** 2
 
 
 def _backend_kernel(backend, mu, dims=(4, 3)):
@@ -163,10 +164,15 @@ class TestIpUpdate:
         mixture, sources, _ = _speech_scene(duration=0.5)
         lam = np.maximum(np.abs(sources.data) ** 2, 1e-12)
         d = init_demixing(2, mixture.n_bins)
-        prev = ilrma_objective(np.abs(np.einsum("fnm,mft->nft", d, mixture.data)) ** 2, lam, d)
+
+        def objective(d):
+            power = _power(np.einsum("fnm,mft->nft", d, mixture.data))
+            return ilrma_objective(power, lam, np.linalg.slogdet(d)[1])
+
+        prev = objective(d)
         for _ in range(8):
             d = ip_update(d, mixture, lam)
-            cur = ilrma_objective(np.abs(np.einsum("fnm,mft->nft", d, mixture.data)) ** 2, lam, d)
+            cur = objective(d)
             assert cur >= prev - 1e-8 * abs(prev)
             prev = cur
 
@@ -232,15 +238,15 @@ class TestIpUpdate:
 class TestNormalize:
     def _setup(self, seed=5, n_bins=6, n_frames=8):
         rng = np.random.default_rng(seed)
-        est = _random_spectrogram(rng, 2, n_bins, n_frames) * 3.0
+        x = _random_spectrogram(rng, 2, n_bins, n_frames) * 3.0
         d = _random_spectrogram(rng, n_bins, 2, 2)
         models = [init_nmf(n_bins, n_frames, 2, seed=seed + n) for n in range(2)]
-        return d, models, est
+        return d, models, x, _power(_demix(d, x))
 
     def test_unit_mean_power(self):
-        d, models, est = self._setup()
-        _, _, est2 = normalize(d, models, est, _mean_power(est))
-        np.testing.assert_allclose(_mean_power(est2), 1.0, rtol=1e-12)
+        d, models, _, power = self._setup()
+        _, _, power2 = normalize(d, models, power, power.mean(axis=(1, 2)))
+        np.testing.assert_allclose(power2.mean(axis=(1, 2)), 1.0, rtol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -255,46 +261,48 @@ class TestNormalize:
         # of the model floor, where the invariance is exact
         rng = np.random.default_rng(seed)
         gains = 10.0 ** np.array(log_gains[:n_src])
-        est = _random_spectrogram(rng, n_src, n_bins, n_frames) * gains[:, None, None]
+        power = _power(_random_spectrogram(rng, n_src, n_bins, n_frames)) * gains[:, None, None] ** 2
         d = _random_spectrogram(rng, n_bins, n_src, n_src) + 2 * np.eye(n_src)
         models = [init_nmf(n_bins, n_frames, 2, seed=seed + n) for n in range(n_src)]
         lam = np.stack([variance(m) for m in models])
-        before = ilrma_objective(np.abs(est) ** 2, lam, d)
-        d2, models2, est2 = normalize(d, models, est, _mean_power(est))
+        before = ilrma_objective(power, lam, np.linalg.slogdet(d)[1])
+        d2, models2, power2 = normalize(d, models, power, power.mean(axis=(1, 2)))
         lam2 = np.stack([variance(m) for m in models2])
-        after = ilrma_objective(np.abs(est2) ** 2, lam2, d2)
+        after = ilrma_objective(power2, lam2, np.linalg.slogdet(d2)[1])
         assert after == pytest.approx(before, rel=1e-9, abs=1e-9)
 
     def test_idempotent(self):
-        d, models, est = self._setup()
-        d1, m1, e1 = normalize(d, models, est, _mean_power(est))
-        d2, m2, e2 = normalize(d1, m1, e1, _mean_power(e1))
+        d, models, _, power = self._setup()
+        d1, m1, p1 = normalize(d, models, power, power.mean(axis=(1, 2)))
+        d2, m2, p2 = normalize(d1, m1, p1, p1.mean(axis=(1, 2)))
         np.testing.assert_allclose(d2, d1, rtol=1e-12)
-        np.testing.assert_allclose(e2, e1, rtol=1e-12)
+        np.testing.assert_allclose(p2, p1, rtol=1e-12)
         np.testing.assert_allclose(variance(m2[0]), variance(m1[0]), rtol=1e-12)
 
     def test_demixing_scaled_consistently(self):
-        d, models, est = self._setup()
-        rho = np.sqrt(_mean_power(est))
-        d2, _, _ = normalize(d, models, est, rho**2)
+        # the rescaled power is the power of the rescaled demixing
+        d, models, x, power = self._setup()
+        rho = np.sqrt(power.mean(axis=(1, 2)))
+        d2, _, power2 = normalize(d, models, power, rho**2)
         np.testing.assert_allclose(d2[:, 0, :], d[:, 0, :] / rho[0], rtol=1e-12)
         np.testing.assert_allclose(d2[:, 1, :], d[:, 1, :] / rho[1], rtol=1e-12)
+        np.testing.assert_allclose(power2, _power(_demix(d2, x)), rtol=1e-12)
 
     def test_zero_power_source_warns_and_passes_through(self):
-        d, models, est = self._setup()
-        est[1] = 0.0
+        d, models, _, power = self._setup()
+        power[1] = 0.0
         with pytest.warns(UserWarning, match="zero power"):
-            d2, models2, est2 = normalize(d, models, est, _mean_power(est))
+            d2, models2, power2 = normalize(d, models, power, power.mean(axis=(1, 2)))
         np.testing.assert_array_equal(d2[:, 1, :], d[:, 1, :])
         np.testing.assert_array_equal(variance(models2[1]), variance(models[1]))
-        np.testing.assert_array_equal(est2[1], est[1])
+        np.testing.assert_array_equal(power2[1], power[1])
 
     def test_count_mismatch_rejected(self):
-        d, models, est = self._setup()
+        d, models, _, power = self._setup()
         with pytest.raises(ValueError):
-            normalize(d, models[:1], est, _mean_power(est))
+            normalize(d, models[:1], power, power.mean(axis=(1, 2)))
         with pytest.raises(ValueError):
-            normalize(d, models, est, _mean_power(est)[:1])
+            normalize(d, models, power, power.mean(axis=(1, 2))[:1])
 
 
 class TestIlrmaObjective:
@@ -303,19 +311,15 @@ class TestIlrmaObjective:
         lam = np.array([[[2.0, 2.0]]])
         d = np.array([[[3.0 + 0j]]])
         expected = -(1.0 / 2.0 + 4.0 / 2.0 + 2.0 * np.log(2.0)) + 2.0 * 2.0 * np.log(3.0)
-        assert ilrma_objective(power, lam, d) == pytest.approx(expected, rel=1e-14)
+        assert ilrma_objective(power, lam, np.linalg.slogdet(d)[1]) == pytest.approx(expected, rel=1e-14)
 
     def test_maximized_at_matching_variance(self):
         rng = np.random.default_rng(6)
         power = rng.uniform(0.5, 2.0, size=(2, 5, 7))
-        d = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2))
-        best = ilrma_objective(power, power, d)
-        assert best > ilrma_objective(power, 1.5 * power, d)
-        assert best > ilrma_objective(power, 0.6 * power, d)
-
-    def test_singular_demixing_rejected(self):
-        with pytest.raises(DemixingNumericError):
-            ilrma_objective(np.ones((1, 2, 2)), np.ones((1, 2, 2)), np.zeros((2, 1, 1), dtype=complex))
+        logdet = np.linalg.slogdet(np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)))[1]
+        best = ilrma_objective(power, power, logdet)
+        assert best > ilrma_objective(power, 1.5 * power, logdet)
+        assert best > ilrma_objective(power, 0.6 * power, logdet)
 
 
 class TestComputeFrameMarginals:
@@ -777,6 +781,31 @@ class TestSeparate:
         r2 = separate(mixture, cfg)
         np.testing.assert_array_equal(r1.estimates.data, r2.estimates.data)
         assert r1.trace == r2.trace
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_estimates_are_the_final_demixing_applied_once(self, method):
+        # C order, so separate() demixes this very array
+        mixture, _, _ = _speech_scene(duration=0.4)
+        x = np.ascontiguousarray(mixture.data)
+        cfg = SeparationConfig(method=method, outer_iters=3, seed=8)
+        result = separate(dataclasses.replace(mixture, data=x), cfg)
+        np.testing.assert_array_equal(result.estimates.data, _demix(result.demixing, x))
+
+    @pytest.mark.parametrize("method", ["ilrma", "sdilrma-kron"])
+    def test_singular_demixing_rejected(self, method, monkeypatch):
+        # both rows of every D_f pick channel 0: the loop's one slogdet
+        # must stop the run before the objective or the next iteration
+        mixture, _, _ = _speech_scene(duration=0.3)
+
+        def rank_deficient(demixing, data, variances):
+            out = np.zeros_like(demixing)
+            out[:, :, 0] = 1.0
+            return out
+
+        monkeypatch.setattr(engine, "ip_update", rank_deficient)
+        cfg = SeparationConfig(method=method, outer_iters=2)
+        with pytest.raises(DemixingNumericError, match="singular"):
+            separate(mixture, cfg)
 
 
 class TestSeparateDispatch:

@@ -1,8 +1,9 @@
 """Room simulator checks: Sabine values, image-method physics, mixing.
 
 The FFT convolution and the FFT peak filter are checked against
-scipy's ``fftconvolve`` and ``lfilter(*iirpeak(...))``; the impulse
-responses against a pair-by-pair, masked evaluation of the same image
+scipy's ``fftconvolve`` and ``lfilter(*iirpeak(...))``; the image set
+against an explicit enumeration (``helpers.reference_image_grid``), the
+impulse responses against a pair-by-pair, masked evaluation over that
 set (``helpers.reference_image_source_rir``), and the factored, blocked
 pulse sum against a direct evaluation of every tap
 (``helpers.reference_windowed_sinc_add``), both to ``PULSE_RTOL`` of
@@ -13,7 +14,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import reference_image_source_rir, reference_windowed_sinc_add, schroeder_t60
+from helpers import (
+    reference_image_grid,
+    reference_image_source_rir,
+    reference_windowed_sinc_add,
+    schroeder_t60,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -254,6 +260,27 @@ class TestImageSourceRir:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+class TestImageGrid:
+    # 23 and 30 are the orders of T60 = 0.3 s and of 0.4 s and longer in
+    # the SiSEC room; the taps stay bit-identical only in this order
+    @pytest.mark.parametrize("max_order", [0, 1, 2, 5, 23, 30])
+    def test_matches_explicit_enumeration_in_order(self, max_order):
+        got = roomsim._image_grid(max_order)
+        for g, want in zip(got, reference_image_grid(max_order)):
+            assert g.dtype == want.dtype
+            np.testing.assert_array_equal(g, want)
+
+    def test_traced_peak_at_order_30_stays_below_8_mb(self):
+        # 8 parities x 35 937 shifts x 3 int64 would be 6.9 MB per array
+        tracemalloc.start()
+        try:
+            roomsim._image_grid(30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 def _pulse_sums(n, delays, amps):
