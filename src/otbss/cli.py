@@ -26,7 +26,6 @@ import numpy as np
 from .audio import StftConfig, TimeSignal, istft, read_wav, stft, write_wav
 from .engine import METHODS, SeparationConfig, separate
 from .errors import (
-    CapabilityError,
     DegenerateGeometryError,
     DemixingNumericError,
     SinkhornNumericError,
@@ -156,7 +155,6 @@ _SEPARATION_KEYS = {
     "n_sources": (None, _int_value),
     **_SHARED_KEYS,
     "ref_mic": (SeparationConfig.ref_mic, _int_value),
-    "kron_dims": (SeparationConfig.kron_dims, _list_value(_int_value)),
 }
 
 _PLAN_KEYS = {
@@ -216,7 +214,6 @@ def _separation_config(cfg: dict) -> SeparationConfig:
             sinkhorn=SinkhornParams(
                 mu=cfg["mu"], gamma=cfg["gamma"], max_iter=cfg["max_iter"], tol=cfg["tol"]
             ),
-            kron_dims=cfg["kron_dims"],
             ref_mic=cfg["ref_mic"],
             seed=cfg["seed"],
             stft=StftConfig(window_len=cfg["window_len"], hop=cfg["hop"]),
@@ -445,7 +442,6 @@ def main(argv=None) -> int:
         ConfigError,
         WavFormatError,
         DegenerateGeometryError,
-        CapabilityError,
         FileNotFoundError,
         ValueError,
     ) as err:

@@ -46,17 +46,15 @@ DET_REG = 1e-8
 class SeparationConfig:
     """Method selection and all tuning knobs of a separation run.
 
-    ``kron_dims`` fixes the mixed-radix split of the bin index used by
-    the separable transport cost; the kron method factorizes the bin
-    count automatically when it is omitted, and the dense method then
-    uses the exact quadratic cost instead of the separable surrogate.
+    The method alone fixes the transport kernel: ``sdilrma-kron`` splits
+    the bin count into two factors (``factorize_bins``), and
+    ``sdilrma-dense`` uses the exact quadratic cost.
     """
 
     method: str = "ilrma"
     n_basis: int = 2
     outer_iters: int = 50
     sinkhorn: SinkhornParams = SinkhornParams()
-    kron_dims: tuple = None
     ref_mic: int = 0
     seed: int = 0
     stft: StftConfig = StftConfig()
@@ -70,11 +68,6 @@ class SeparationConfig:
             raise ValueError("outer_iters must be >= 0")
         if self.ref_mic < 0:
             raise ValueError("ref_mic must be >= 0")
-        if self.kron_dims is not None:
-            dims = tuple(int(d) for d in self.kron_dims)
-            if any(d < 1 for d in dims):
-                raise ValueError("kron_dims must be positive")
-            object.__setattr__(self, "kron_dims", dims)
 
 
 class IterationRecord(NamedTuple):
@@ -335,21 +328,17 @@ def _prepare(mixture: Spectrogram, cfg: SeparationConfig, n_sources):
 def _sd_kernel(n_bins: int, cfg: SeparationConfig):
     """Gibbs kernel of the configured transport backend.
 
-    ``sdilrma-dense`` with ``kron_dims`` gets the factored kernel, materialized.
+    ``sdilrma-kron`` factors the Kronecker-sum cost over the two-factor
+    split of the bin count; a prime count warns and gets the dense
+    kernel. ``sdilrma-dense`` always gets the exact quadratic cost.
     """
     mu = cfg.sinkhorn.mu
-    dims = cfg.kron_dims
-    if dims is not None and int(np.prod(dims)) != n_bins:
-        raise ValueError(f"kron_dims {dims} do not multiply to {n_bins} bins")
-    if cfg.method == "sdilrma-kron" and dims is None:
+    if cfg.method == "sdilrma-kron":
         try:
-            dims = factorize_bins(n_bins, 2)
+            return factorized_kernel(kron_sum_cost(factorize_bins(n_bins, 2)), mu)
         except FactorizationError:
             warnings.warn(f"{n_bins} bins cannot be factorized; falling back to the dense kernel")
-    if dims is None:
-        return gibbs_kernel(build_cost_sq(n_bins), mu)
-    kernel = factorized_kernel(kron_sum_cost(dims), mu)
-    return kernel if cfg.method == "sdilrma-kron" else kernel.materialize()
+    return gibbs_kernel(build_cost_sq(n_bins), mu)
 
 
 def separate(

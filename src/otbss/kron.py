@@ -146,10 +146,7 @@ class FactorizedKernel:
         return int(self.n_bins * sum(self.dims))
 
     def materialize(self) -> np.ndarray:
-        """Dense e^(-1) * (G_1 x ... x G_Q), up to MATERIALIZE_MAX_BINS bins.
-
-        The kernel of ``sdilrma-dense`` when ``kron_dims`` is given.
-        """
+        """Dense e^(-1) * (G_1 x ... x G_Q), up to MATERIALIZE_MAX_BINS bins."""
         if self.n_bins > MATERIALIZE_MAX_BINS:
             raise CapabilityError(
                 f"refusing to materialize a {self.n_bins}x{self.n_bins} kernel"

@@ -130,14 +130,14 @@ def sabine_absorption(dimensions, t60: float) -> float:
     lx, ly, lz = dims
     volume = lx * ly * lz
     surface = 2.0 * (lx * ly + lx * lz + ly * lz)
-    alpha = 0.161 * volume / (surface * t60)
-    if alpha > 1.0:
+    # compared before dividing: a subnormal t60 would overflow the quotient
+    if 0.161 * volume > surface * t60:
         warnings.warn(
             f"t60={t60:g} s is shorter than this room supports; clamping absorption to 1",
             stacklevel=2,
         )
-        alpha = 1.0
-    return alpha
+        return 1.0
+    return 0.161 * volume / (surface * t60)
 
 
 def _image_grid(max_order: int):

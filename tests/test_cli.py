@@ -159,7 +159,7 @@ class TestSeparate:
         assert (out / "est_0.wav").read_bytes() == (sep_dir / "est_0.wav").read_bytes()
 
     def test_config_echo_passes_back_as_config(self, sim_dir, sep_dir, tmp_path):
-        # the echo leaves out the unset n_sources and kron_dims
+        # the echo leaves out the unset n_sources
         out = tmp_path / "again"
         echo = str(sep_dir / "config.json")
         assert main(["separate", str(sim_dir / "mixture.wav"), "--config", echo, "--out", str(out)]) == EXIT_OK
@@ -192,14 +192,14 @@ class TestSeparate:
         code = main(["separate", str(sim_dir / "src_0.wav"), "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("dims", ["43", 43, {"43": 3}], ids=["string", "number", "object"])
-    def test_kron_dims_not_a_list_exits_2(self, sim_dir, tmp_path, capsys, dims):
-        cfg = _write_json(tmp_path / "sep.json", {"schema": 1, "method": "sdilrma-kron", "kron_dims": dims})
-        code = main(["separate", str(sim_dir / "mixture.wav"), "--config", cfg, "--out", str(tmp_path / "x")])
+    def test_kron_dims_exits_2(self, sim_dir, tmp_path, capsys):
+        # the key is gone: the split is derived from the bin count
+        cfg = _write_json(tmp_path / "sep.json", {"schema": 1, "method": "sdilrma-kron", "kron_dims": [43, 3]})
+        out = tmp_path / "x"
+        code = main(["separate", str(sim_dir / "mixture.wav"), "--config", cfg, "--out", str(out)])
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "'kron_dims'" in err
-        assert "expected a list" in err
+        assert "unknown keys: kron_dims" in capsys.readouterr().err
+        assert not (out / "config.json").exists()
 
     def test_verbatim_updates_with_ilrma_exits_2(self, sim_dir, tmp_path, capsys):
         # the key is gone: config echoes from older versions carry it as false
@@ -368,6 +368,15 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert "otbss: error:" in err
         assert next(iter(bad)) in err
+
+    @pytest.mark.parametrize("value", ["0.3", 0.3, {"0.3": 1}], ids=["string", "number", "object"])
+    @pytest.mark.parametrize("key", ["methods", "t60_grid"])
+    def test_list_key_not_a_list_exits_2(self, tmp_path, capsys, key, value):
+        plan = _write_json(tmp_path / "plan.json", {"schema": 1, key: value})
+        assert main(["benchmark", "--config", plan, "--out", str(tmp_path / "b.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err
+        assert "expected a list" in err
 
     def test_unknown_plan_key_exits_2(self, tmp_path):
         plan = _write_json(tmp_path / "plan.json", {"schema": 1, "reverb_grid": [0.1]})

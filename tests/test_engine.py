@@ -39,7 +39,7 @@ from otbss.engine import (
     separate,
 )
 from otbss.errors import DemixingNumericError, SinkhornNumericError
-from otbss.kron import factorized_kernel, kron_sum_cost
+from otbss.kron import FactorizedKernel, factorized_kernel, kron_sum_cost
 from otbss.nmf import init_nmf, variance
 from otbss.roomsim import synth_speech
 from otbss.sinkhorn import (
@@ -641,12 +641,6 @@ class TestSeparationConfig:
             SeparationConfig(outer_iters=-1)
         with pytest.raises(ValueError):
             SeparationConfig(ref_mic=-1)
-        with pytest.raises(ValueError):
-            SeparationConfig(kron_dims=(0, 4))
-
-    def test_kron_dims_normalized(self):
-        cfg = SeparationConfig(method="sdilrma-kron", kron_dims=[4.0, 3])
-        assert cfg.kron_dims == (4, 3)
 
     def test_frozen(self):
         cfg = SeparationConfig()
@@ -713,13 +707,36 @@ class TestRunIlrma:
         np.testing.assert_allclose(images[2], images[0], rtol=1e-12, atol=0)
 
 
+class TestSdKernel:
+    @pytest.mark.parametrize("n_bins, dims", [(513, (27, 19)), (129, (43, 3))], ids=["513", "129"])
+    def test_kron_splits_the_bin_count(self, n_bins, dims):
+        kernel = engine._sd_kernel(n_bins, SeparationConfig(method="sdilrma-kron"))
+        assert isinstance(kernel, FactorizedKernel)
+        assert kernel.dims == dims
+
+    @pytest.mark.parametrize("n_bins", [129, 513])
+    def test_dense_is_the_exact_cost_kernel(self, n_bins):
+        cfg = SeparationConfig(method="sdilrma-dense")
+        kernel = engine._sd_kernel(n_bins, cfg)
+        assert np.array_equal(kernel, gibbs_kernel(build_cost_sq(n_bins), cfg.sinkhorn.mu))
+
+    @pytest.mark.parametrize("n_bins", [3, 131])
+    def test_prime_bin_count_gets_the_dense_kernel(self, n_bins):
+        cfg = SeparationConfig(method="sdilrma-kron")
+        with pytest.warns(UserWarning, match="cannot be factorized"):
+            kernel = engine._sd_kernel(n_bins, cfg)
+        assert np.array_equal(kernel, gibbs_kernel(build_cost_sq(n_bins), cfg.sinkhorn.mu))
+
+
 class TestRunSdilrma:
-    def test_backends_agree(self):
+    def test_backends_agree(self, monkeypatch):
+        # the dense run on the (43, 3) Kronecker-sum cost that kron derives at F = 129
         mixture, _, _ = _speech_scene(duration=1.0)
         assert mixture.n_bins == 129
-        common = dict(outer_iters=10, seed=3, kron_dims=(43, 3))
-        dense = separate(mixture, SeparationConfig(method="sdilrma-dense", **common))
+        common = dict(outer_iters=10, seed=3)
         kron = separate(mixture, SeparationConfig(method="sdilrma-kron", **common))
+        monkeypatch.setattr(engine, "build_cost_sq", lambda n: materialize_kron_sum(kron_sum_cost((43, 3))))
+        dense = separate(mixture, SeparationConfig(method="sdilrma-dense", **common))
         scale = np.max(np.abs(dense.estimates.data))
         np.testing.assert_allclose(
             kron.estimates.data, dense.estimates.data, atol=1e-6 * scale
@@ -735,12 +752,6 @@ class TestRunSdilrma:
         with pytest.warns(UserWarning, match="cannot be factorized"):
             result = separate(mixture, cfg)
         assert np.all(np.isfinite(result.estimates.data))
-
-    def test_kron_dims_must_match_bins(self):
-        mixture, _, _ = _speech_scene(duration=0.3)
-        cfg = SeparationConfig(method="sdilrma-kron", outer_iters=1, kron_dims=(4, 3))
-        with pytest.raises(ValueError, match="kron_dims"):
-            separate(mixture, cfg)
 
     def test_transport_objective_trends_down(self):
         mixture, _, _ = _speech_scene(duration=0.8)

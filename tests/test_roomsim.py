@@ -11,6 +11,7 @@ the pulse amplitudes.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,11 @@ class TestSabine:
     def test_clamp_warns_for_impossible_t60(self):
         with pytest.warns(UserWarning):
             assert sabine_absorption((8.0, 8.0, 3.0), 1e-4) == 1.0
+
+    def test_subnormal_t60_clamps_without_overflow(self):
+        with pytest.warns(UserWarning, match="clamping"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert sabine_absorption([8, 8, 3], 2.225e-311) == 1.0
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
