@@ -14,7 +14,9 @@ transport cost. The marginals come from the one transport solver,
 Kronecker-factorized kernel that never materializes the F x F plan.
 They are not converged: each outer iteration's solve is warm-started
 from the previous one and truncated after ``max_iter``
-translation-invariant (TI) scaling steps.
+translation-invariant (TI) scaling steps, and each (source, frame)
+column stops earlier, on its own, once one step moves its log scalings
+by less than ``tol``.
 """
 
 from __future__ import annotations

@@ -83,6 +83,57 @@ def _backend_kernel(backend, mu, dims=(4, 3)):
     return gibbs_kernel(materialize_kron_sum(cost), mu)
 
 
+def _fixed_budget_runs(a, b, kernel, params, init, tols):
+    """Runs of 0, 1, 2, ... TI steps from ``init``, and each frame's first step below each tol.
+
+    runs[k] is the run of a k-step budget with tol out of reach, which
+    steps every frame k times (runs[0] is ``init``). first[tol][t] is
+    the first k whose run moves none of frame t's log scalings by tol
+    from run k - 1, or ``params.max_iter`` if no run up to it does.
+    """
+    fixed = dataclasses.replace(params, tol=1e-300)
+    runs = [init]
+    first = {tol: np.zeros(a.shape[1], dtype=int) for tol in tols}
+    while len(runs) <= params.max_iter and not all(np.all(f) for f in first.values()):
+        fixed = dataclasses.replace(fixed, max_iter=len(runs))
+        runs.append(compute_frame_marginals(a, b, kernel, fixed, init=init))
+        move = np.maximum(
+            np.max(np.abs(runs[-1].log_u - runs[-2].log_u), axis=0),
+            np.max(np.abs(runs[-1].log_v - runs[-2].log_v), axis=0),
+        )
+        for tol, f in first.items():
+            f[(f == 0) & (move < tol)] = len(runs) - 1
+        assert len(runs) < 500
+    for f in first.values():
+        f[f == 0] = params.max_iter
+    return runs, first
+
+
+class _PoisonNarrowed:
+    """A kernel whose first product on a batch narrower than ``n_frames``
+    is NaN in one column; it records the width of every product."""
+
+    def __init__(self, kernel, n_frames, column):
+        self.kernel, self.n_frames, self.column = kernel, n_frames, column
+        self.widths = []
+
+    def _product(self, x, adjoint):
+        if isinstance(self.kernel, FactorizedKernel):
+            y = self.kernel.apply_adjoint(x) if adjoint else self.kernel.apply(x)
+        else:
+            y = self.kernel.T @ x if adjoint else self.kernel @ x
+        if x.shape[1] < self.n_frames and all(w == self.n_frames for w in self.widths):
+            y[:, self.column] = np.nan
+        self.widths.append(x.shape[1])
+        return y
+
+    def apply(self, x):
+        return self._product(x, adjoint=False)
+
+    def apply_adjoint(self, x):
+        return self._product(x, adjoint=True)
+
+
 def _off_pattern(matrix):
     """Smallest off/on magnitude ratio over both source orderings."""
     g = np.abs(matrix)
@@ -385,10 +436,12 @@ class TestComputeFrameMarginals:
         assert excinfo.value.context == 2
 
     def test_shape_mismatch_rejected(self):
+        kernel = gibbs_kernel(build_cost_sq(4), 100.0)
         with pytest.raises(ValueError):
-            compute_frame_marginals(
-                np.ones((4, 3)), np.ones((5, 3)), gibbs_kernel(build_cost_sq(4), 100.0), SinkhornParams()
-            )
+            compute_frame_marginals(np.ones((4, 3)), np.ones((5, 3)), kernel, SinkhornParams())
+        # one frame is a (F, 1) column, not an (F,) vector
+        with pytest.raises(ValueError):
+            compute_frame_marginals(np.ones(4), np.ones(4), kernel, SinkhornParams())
 
     @pytest.mark.parametrize("backend", ["dense", "kron"])
     @pytest.mark.parametrize("field", ["log_u", "log_v"])
@@ -411,34 +464,52 @@ class TestComputeFrameMarginals:
 
     @pytest.mark.parametrize("backend", ["dense", "kron"])
     def test_tol_stops_at_the_first_step_below_it(self, backend):
-        # the first step k whose move from the (k - 1)-step scalings is
-        # below tol, found from fixed budgets (tol out of reach): a run
-        # with that tol must stop there, bit for bit
+        # every frame must stop at its own first step below tol, found
+        # from fixed-budget runs; a frame that stops after others have
+        # left runs in a narrower batch, whose products may round
+        # differently, so the match is to 1e-12 and not bit for bit
         rng = np.random.default_rng(22)
         tols = (1e-2, 1e-4, 1e-6, 1e-9)
         for mu, gamma, warm in [(4.0, 2.0, False), (4.0, 2.0, True), (20.0, 1.0, False),
                                 (20.0, 1.0, True), (100.0, 0.1, False), (100.0, 0.1, True)]:
-            a = rng.uniform(0.2, 3.0, size=(12, 3))
-            b = rng.uniform(0.2, 3.0, size=(12, 3))
+            a = rng.uniform(0.2, 3.0, size=(12, 6))
+            b = rng.uniform(0.2, 3.0, size=(12, 6))
             kernel = _backend_kernel(backend, mu)
-            fixed = SinkhornParams(mu=mu, gamma=gamma, max_iter=5, tol=1e-300)
+            params = SinkhornParams(mu=mu, gamma=gamma, max_iter=10**6)
             # all-zero log scalings are the cold start
             init = FrameMarginals(None, None, np.zeros_like(a), np.zeros_like(b))
             if warm:
+                fixed = dataclasses.replace(params, max_iter=5, tol=1e-300)
                 init = compute_frame_marginals(0.5 * a, b, kernel, fixed)
-            runs, first = [init], {}
-            while len(first) < len(tols):
-                fixed = dataclasses.replace(fixed, max_iter=len(runs))
-                runs.append(compute_frame_marginals(a, b, kernel, fixed, init=init))
-                move = max(np.max(np.abs(runs[-1].log_u - runs[-2].log_u)),
-                           np.max(np.abs(runs[-1].log_v - runs[-2].log_v)))
-                first.update({tol: len(runs) - 1 for tol in tols if move < tol and tol not in first})
-                assert len(runs) < 500
-            for tol, k in first.items():
-                params = SinkhornParams(mu=mu, gamma=gamma, max_iter=10**6, tol=tol)
-                stopped = compute_frame_marginals(a, b, kernel, params, init=init)
-                for got, want in zip(stopped, runs[k]):
-                    np.testing.assert_array_equal(got, want)
+            runs, first = _fixed_budget_runs(a, b, kernel, params, init, tols)
+            assert any(len(set(steps)) > 1 for steps in first.values())
+            for tol, steps in first.items():
+                stopped = compute_frame_marginals(
+                    a, b, kernel, dataclasses.replace(params, tol=tol), init=init
+                )
+                for t, k in enumerate(steps):
+                    for got, want in zip(stopped, runs[k]):
+                        np.testing.assert_allclose(got[:, t], want[:, t], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("backend", ["dense", "kron"])
+    def test_non_finite_after_frames_left_names_its_frame(self, backend):
+        # frames 0-2 start converged and stop at the first step; the
+        # next product, on the five frames left, turns the second of
+        # them (frame 4) into NaN, and the error must name frame 4
+        rng = np.random.default_rng(24)
+        a = rng.uniform(0.5, 2.0, size=(12, 8))
+        b = rng.uniform(0.5, 2.0, size=(12, 8))
+        params = SinkhornParams(mu=4.0, gamma=2.0, max_iter=50, tol=1e-3)
+        kernel = _backend_kernel(backend, params.mu)
+        init = compute_frame_marginals(a, b, kernel, dataclasses.replace(params, max_iter=4000, tol=1e-14))
+        init.log_u[:, 3:] = 0.0
+        init.log_v[:, 3:] = 0.0
+        poisoned = _PoisonNarrowed(kernel, n_frames=8, column=1)
+        with np.errstate(invalid="ignore"), pytest.raises(SinkhornNumericError) as excinfo:
+            compute_frame_marginals(a, b, poisoned, params, init=init)
+        assert poisoned.widths[:3] == [8, 8, 5]
+        assert excinfo.value.iteration == 1
+        assert excinfo.value.context == 4
 
     @pytest.mark.parametrize("backend", ["dense", "kron"])
     @pytest.mark.parametrize(
@@ -494,18 +565,25 @@ class TestComputeFrameMarginals:
 
     @pytest.mark.parametrize("backend", ["dense", "kron"])
     def test_batched_sources_match_per_source_solves(self, backend):
-        # at the default truncated budget, from a warm start, as
-        # separate calls it: frames are independent columns
+        # at the default budget and tol, from a warm start, as separate
+        # calls it: frames are independent columns, and no frame's
+        # result depends on when its neighbours stop. The warm start
+        # solves rescaled powers, and frame 6 starts cold, so the frames
+        # stop after 1, 2, 3 or all 10 steps, in another order in each
+        # source
         rng = np.random.default_rng(18)
         power = rng.uniform(0.1, 3.0, size=(2, 12, 4))
         lam = rng.uniform(0.1, 3.0, size=(2, 12, 4))
         params = SinkhornParams()
-        cost = kron_sum_cost((4, 3))
-        if backend == "kron":
-            kernel = factorized_kernel(cost, params.mu)
-        else:
-            kernel = gibbs_kernel(materialize_kron_sum(cost), params.mu)
-        init = compute_frame_marginals(np.hstack(0.5 * power), np.hstack(lam), kernel, params)
+        kernel = _backend_kernel(backend, params.mu)
+        scale = np.array([1.0, 1.1, 0.9, 1.5, 1.02, 1.0, 0.7, 1.3])
+        init = compute_frame_marginals(
+            np.hstack(power) * scale, np.hstack(lam), kernel, dataclasses.replace(params, max_iter=100)
+        )
+        init.log_u[:, 6] = 0.0
+        init.log_v[:, 6] = 0.0
+        _, first = _fixed_budget_runs(np.hstack(power), np.hstack(lam), kernel, params, init, (params.tol,))
+        np.testing.assert_array_equal(first[params.tol], [1, 2, 2, 3, 3, 1, 10, 3])
         batched = compute_frame_marginals(np.hstack(power), np.hstack(lam), kernel, params, init=init)
         for n, cols in enumerate((slice(0, 4), slice(4, 8))):
             warm = FrameMarginals(*(x[:, cols] for x in init))

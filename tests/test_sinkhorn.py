@@ -95,7 +95,7 @@ class TestParams:
         assert p.mu == 100.0
         assert p.gamma == 10.0
         assert p.max_iter == 10
-        assert p.tol == 1e-6
+        assert p.tol == 0.1
 
     def test_marginal_exponent(self):
         p = SinkhornParams(mu=100.0, gamma=10.0)
