@@ -31,7 +31,7 @@ from .errors import (
     SinkhornNumericError,
     WavFormatError,
 )
-from .metrics import improvement, sdr_sir
+from .metrics import improvement, sdr_sir, sdr_sir_sets
 from .roomsim import (
     MIC_SPACING,
     SISEC_ROOM,
@@ -294,7 +294,12 @@ def cmd_evaluate(args) -> int:
 
 
 def _run_cell(plan: dict, configs: list, t60: float, trial: int) -> list:
-    """Simulate one (t60, trial) cell and separate it with every config."""
+    """Simulate one (t60, trial) cell, separate it with every config, score once.
+
+    The unprocessed reference mic and every method that did not fail are
+    scored in one ``sdr_sir_sets`` call against the cell's references;
+    ``wall_ms`` times ``separate`` alone.
+    """
     angle_rng = np.random.default_rng(plan["angle_seed"] * 1_000_003 + trial)
     angle1 = float(angle_rng.uniform(10.0, 80.0))
     angle2 = float(angle_rng.uniform(-80.0, -10.0))
@@ -307,33 +312,34 @@ def _run_cell(plan: dict, configs: list, t60: float, trial: int) -> list:
         "sample_rate": plan["sample_rate"],
         "seed": base_seed,
     }
-    mixture, _, images = _simulate_scene(scene_cfg)
-    references = images
-    ref_channel = TimeSignal(mixture.samples[:1], mixture.sample_rate)
-    baseline = sdr_sir([ref_channel] * N_SPEAKERS, references)
+    mixture, _, references = _simulate_scene(scene_cfg)
     spec = stft(mixture, configs[0].stft)
-    rows = []
+    outcomes = []  # (method, wall_ms, failure reason or None)
+    sets = [[TimeSignal(mixture.samples[:1], mixture.sample_rate)] * N_SPEAKERS]
     for cfg in configs:
-        sep_cfg = replace(cfg, seed=base_seed)
         start = time.perf_counter()
         try:
-            result = separate(spec, sep_cfg, n_sources=N_SPEAKERS)
-            wall_ms = (time.perf_counter() - start) * 1000.0
-            estimates = istft(result.images)
-            scored = sdr_sir(
-                [TimeSignal(estimates.samples[n : n + 1], estimates.sample_rate) for n in range(N_SPEAKERS)],
-                references,
-            )
-            gains = improvement(scored, baseline)
-            for n in range(N_SPEAKERS):
-                rows.append(
-                    (t60, trial, cfg.method, n, f"{gains.sdr[n]:.4f}", f"{gains.sir[n]:.4f}", f"{wall_ms:.1f}", "ok")
-                )
+            result = separate(spec, replace(cfg, seed=base_seed), n_sources=N_SPEAKERS)
         except (SinkhornNumericError, DemixingNumericError) as err:
             wall_ms = (time.perf_counter() - start) * 1000.0
-            reason = "failed: " + str(err).replace(",", ";")
-            for n in range(N_SPEAKERS):
-                rows.append((t60, trial, cfg.method, n, "", "", f"{wall_ms:.1f}", reason))
+            outcomes.append((cfg.method, wall_ms, "failed: " + str(err).replace(",", ";")))
+            continue
+        outcomes.append((cfg.method, (time.perf_counter() - start) * 1000.0, None))
+        estimates = istft(result.images)
+        del result  # only the time-domain estimates are scored
+        sets.append(
+            [TimeSignal(estimates.samples[n : n + 1], estimates.sample_rate) for n in range(N_SPEAKERS)]
+        )
+    baseline, *scored = sdr_sir_sets(sets, references)
+    rows = []
+    for method, wall_ms, reason in outcomes:
+        if reason is None:
+            gains = improvement(scored.pop(0), baseline)
+            cells = [(f"{gains.sdr[n]:.4f}", f"{gains.sir[n]:.4f}", "ok") for n in range(N_SPEAKERS)]
+        else:
+            cells = [("", "", reason)] * N_SPEAKERS
+        for n, (sdr, sir, status) in enumerate(cells):
+            rows.append((t60, trial, method, n, sdr, sir, f"{wall_ms:.1f}", status))
     log.info("benchmark cell t60=%s trial=%d done", t60, trial)
     return rows
 

@@ -133,14 +133,12 @@ def _like(spec: Spectrogram, data: np.ndarray) -> Spectrogram:
     )
 
 
-def _weighted_covariances(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """V[f, n] = (1/T) sum_t weights_{n,f,t} x_{f,t} x_{f,t}^H for every source.
+def _cross_planes(data: np.ndarray) -> np.ndarray:
+    """Re x_m conj(x_p) (m <= p), then Im x_m conj(x_p) (m < p), as real planes.
 
-    Re x_m conj(x_p) (m <= p) and Im x_m conj(x_p) (m < p) are written
-    in place as real planes, since fresh full-size temporaries cost more
-    than the arithmetic, then one real batched matmul weights them. The
-    same real arithmetic in every plane keeps V exactly Hermitian and
-    exactly singular for equal channels.
+    They depend on the mixture alone, so ``separate`` forms them once for
+    every iteration's covariances. Each plane is written in place, since
+    fresh full-size temporaries cost more than the arithmetic.
     """
     n_chan, n_bins, n_frames = data.shape
     re, im = data.real, data.imag
@@ -154,10 +152,24 @@ def _weighted_covariances(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
     for k, (m, p) in enumerate(zip(i[off], j[off]), start=i.size):
         np.multiply(im[m], re[p], out=planes[k])
         planes[k] -= np.multiply(re[m], im[p], out=tmp)
+    return planes
+
+
+def _weighted_covariances(planes: np.ndarray, weights: np.ndarray, n_chan: int) -> np.ndarray:
+    """V[f, n] = (1/T) sum_t weights_{n,f,t} x_{f,t} x_{f,t}^H for every source.
+
+    ``planes`` are the mixture's cross-channel planes (``_cross_planes``);
+    one real batched matmul weights them. The same real arithmetic in
+    every plane keeps V exactly Hermitian and exactly singular for
+    equal channels.
+    """
+    n_src, n_bins, n_frames = weights.shape
+    i, j = np.triu_indices(n_chan)
+    off = np.flatnonzero(i < j)
     sums = np.matmul(weights.transpose(1, 0, 2), planes.transpose(1, 2, 0)) / n_frames
     upper = sums[..., : i.size].astype(np.complex128)
     upper[..., off] += 1j * sums[..., i.size :]
-    cov = np.empty((n_bins, weights.shape[0], n_chan, n_chan), dtype=np.complex128)
+    cov = np.empty((n_bins, n_src, n_chan, n_chan), dtype=np.complex128)
     cov[..., j, i] = upper.conj()
     cov[..., i, j] = upper
     return cov
@@ -193,7 +205,7 @@ def _projection_rows(system, cov, n: int, bins: np.ndarray, retry: bool = True):
     return d
 
 
-def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray) -> np.ndarray:
+def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray, planes=None) -> np.ndarray:
     """One iterative-projection sweep over every (source, frequency).
 
     For source n and frequency f the weighted covariance
@@ -203,7 +215,10 @@ def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray) -> np.ndarra
     rows already replaced; all frequencies are solved in one batch.
     Only failing bins (singular system, or d^H V d not positive) get a
     trace-scaled diagonal load, once; a bin that fails again raises
-    DemixingNumericError with its source and frequency.
+    DemixingNumericError with its source and frequency. ``planes``, if
+    given, are the mixture's ``_cross_planes``, which a caller that
+    sweeps the same mixture many times forms once; without them they
+    are formed here.
     """
     data = _as_data(mixture)
     n_chan, n_bins, n_frames = data.shape
@@ -215,8 +230,12 @@ def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray) -> np.ndarra
         raise ValueError("demixing shape inconsistent with data and variances")
     if n_src != n_chan:
         raise ValueError("iterative projection needs a square demixing system")
+    if planes is None:
+        planes = _cross_planes(data)
+    elif planes.shape != (n_chan * n_chan, n_bins, n_frames):
+        raise ValueError("planes shape inconsistent with data")
     out = demixing.astype(np.complex128, copy=True)
-    cov = _weighted_covariances(data, np.divide(1.0, lam, out=lam))
+    cov = _weighted_covariances(planes, np.divide(1.0, lam, out=lam), n_chan)
     for n in range(n_src):
         rows = _projection_rows(out @ cov[:, n], cov[:, n], n, np.arange(n_bins))
         out[:, n, :] = rows.conj()
@@ -356,7 +375,9 @@ def separate(
     of one relaxed transport problem per (source, frame) between
     |y_n|^2 and the modeled variance, all sources side by side in one
     batched solve over the shared kernel, warm started from the
-    previous iteration.
+    previous iteration. What depends only on the mixture, the planes
+    every IP sweep weights, is formed once, and each model update
+    starts from the variance the loop already holds.
     """
     data, demixing, models = _prepare(mixture, cfg, n_sources)
     n_src, n_bins, n_frames = data.shape
@@ -366,12 +387,14 @@ def separate(
     trace = []
     # D starts at the identity: the first demixed power is the mixture's
     power = data.real**2 + data.imag**2
+    planes = _cross_planes(data)  # every IP sweep weights these same planes
     lam = np.stack([variance(m) for m in models])
     for it in range(cfg.outer_iters):
-        target = power
         if transport:
             # sources side by side: column n*T + t is frame t of source n
             flat_power, flat_lam = np.hstack(power), np.hstack(lam)
+            del power  # read only as flat_power from here; held over, it raises peak RSS
+            lam = np.hsplit(flat_lam, n_src)  # views, for the same reason
             try:
                 cache = compute_frame_marginals(
                     flat_power, flat_lam, kernel, cfg.sinkhorn, init=cache
@@ -382,9 +405,11 @@ def separate(
                 raise SinkhornNumericError(msg, iteration=err.iteration, context=where) from err
             objective = _transport_objective(cache, flat_power, flat_lam, cfg.sinkhorn)
             target = np.hsplit(cache.row, n_src)
-            del flat_power, flat_lam  # not read again; held over, they raise peak RSS
-        models = [is_update(m, t) for m, t in zip(models, target)]
-        demixing = ip_update(demixing, data, np.stack([variance(m) for m in models]))
+            del flat_power, flat_lam  # likewise
+        else:
+            target = power
+        models = [is_update(m, t, v) for m, t, v in zip(models, target, lam)]
+        demixing = ip_update(demixing, data, np.stack([variance(m) for m in models]), planes)
         y = _demix(demixing, data)
         power = y.real**2 + y.imag**2
         del y, target  # likewise
@@ -398,6 +423,7 @@ def separate(
         if not transport:
             objective = ilrma_objective(power, lam, logdet)
         trace.append(IterationRecord(it + 1, objective, tuple(source_power.tolist())))
+    del planes  # the images below would otherwise peak on top of them
     estimates = _demix(demixing, data)
     images = back_project(estimates, demixing, cfg.ref_mic)
     return SeparationResult(

@@ -6,8 +6,10 @@ onto spans of time-shifted references (time-invariant FIR projection,
 the extra part explained by the other references is interference, and
 the remainder is artifact. Metrics are reported under the estimate
 permutation that maximizes the mean SIR. Everything is numpy: the
-Toeplitz blocks of the Gram are copied out of FFT correlations by index,
-and each Gram is solved once per call for all estimates together.
+Toeplitz blocks of the Gram are copied out of FFT correlations by index.
+Each Gram is built once and solved once per call, for all estimates
+together; ``sdr_sir_sets`` makes that one call cover several estimate
+sets scored against the same references.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ class Improvement(NamedTuple):
     sir: np.ndarray
 
 
-def _as_mono(signals, what: str) -> np.ndarray:
+def _as_mono(signals, what: str):
+    """Rows of one signal list and their common sample rate (None for plain arrays)."""
     rows = []
     rate = None
     for sig in signals:
@@ -66,7 +69,7 @@ def _as_mono(signals, what: str) -> np.ndarray:
     length = len(rows[0])
     if any(len(r) != length for r in rows):
         raise ValueError(f"{what} lengths differ")
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64), rate
 
 
 def _shifted_gram(spectra: np.ndarray, n_fft: int, flen: int) -> np.ndarray:
@@ -96,9 +99,9 @@ def _solve_coeffs(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _filtered(spectra: np.ndarray, coeffs: np.ndarray, n_fft: int, out_len: int) -> np.ndarray:
-    """Reference j filtered by coeffs[j, :, i], as out[j, i]."""
-    taps = np.fft.rfft(coeffs, n_fft, axis=1).transpose(0, 2, 1)
-    return np.fft.irfft(spectra[:, None, :] * taps, n_fft)[..., :out_len]
+    """Reference j filtered by coeffs[j], as out[j]."""
+    taps = np.fft.rfft(coeffs, n_fft, axis=1)
+    return np.fft.irfft(spectra * taps, n_fft)[:, :out_len]
 
 
 def _db(num: float, den: float) -> float:
@@ -113,65 +116,50 @@ def _db(num: float, den: float) -> float:
 def _scores(est: np.ndarray, refs: np.ndarray, flen: int) -> tuple:
     """SDR and SIR in dB of every (estimate i, reference j) pair, as [i, j].
 
-    The cross-correlations of all estimates are the columns of one
-    right-hand side, so the full Gram and each diagonal block are
-    factorized once per call.
+    ``est`` holds any number of estimates, such as several stacked
+    estimate sets. Their cross-correlations are the columns of one
+    right-hand side, so the Gram is built once and the full Gram and
+    each diagonal block are solved once per call. The projections are
+    then filtered one estimate at a time.
     """
     n_src, n_samples = refs.shape
+    n_est = est.shape[0]
     out_len = n_samples + flen - 1
     n_fft = 1 << int(np.ceil(np.log2(out_len)))
     spectra = np.fft.rfft(refs, n_fft, axis=1)
     gram = _shifted_gram(spectra, n_fft, flen)
     # rhs[j, :, i]: correlation of estimate i with reference j at lags 0..flen-1
-    est_spectra = np.fft.rfft(est, n_fft, axis=1)
-    corr = np.fft.irfft(spectra[:, None, :] * np.conj(est_spectra), n_fft)
+    corr = np.fft.irfft(spectra[:, None, :] * np.conj(np.fft.rfft(est, n_fft, axis=1)), n_fft)
     rhs = corr[:, :, -np.arange(flen)].transpose(0, 2, 1)
+    del corr  # (n_src, n_est, n_fft): held over, it would raise the solves' peak
 
-    coeff_all = _solve_coeffs(gram, rhs.reshape(n_src * flen, n_src))
-    proj_all = _filtered(spectra, coeff_all.reshape(n_src, flen, n_src), n_fft, out_len).sum(axis=0)
+    coeff_all = _solve_coeffs(gram, rhs.reshape(n_src * flen, n_est)).reshape(n_src, flen, n_est)
     coeff_own = np.stack(
         [
             _solve_coeffs(gram[j * flen : (j + 1) * flen, j * flen : (j + 1) * flen], rhs[j])
             for j in range(n_src)
         ]
     )
-    target = _filtered(spectra, coeff_own, n_fft, out_len)
-    padded = np.zeros((n_src, out_len))
-    padded[:, :n_samples] = est
 
-    sdr = np.empty((n_src, n_src))
-    sir = np.empty((n_src, n_src))
-    for i in range(n_src):
-        artif = padded[i] - proj_all[i]
+    sdr = np.empty((n_est, n_src))
+    sir = np.empty((n_est, n_src))
+    padded = np.zeros(out_len)
+    for i in range(n_est):
+        proj_all = _filtered(spectra, coeff_all[:, :, i], n_fft, out_len).sum(axis=0)
+        target = _filtered(spectra, coeff_own[:, :, i], n_fft, out_len)
+        padded[:n_samples] = est[i]
+        artif = padded - proj_all
         for j in range(n_src):
-            interf = proj_all[i] - target[j, i]
-            t_energy = float(np.sum(target[j, i] ** 2))
+            interf = proj_all - target[j]
+            t_energy = float(np.sum(target[j] ** 2))
             sdr[i, j] = _db(t_energy, float(np.sum((interf + artif) ** 2)))
             sir[i, j] = _db(t_energy, float(np.sum(interf**2)))
     return sdr, sir
 
 
-def sdr_sir(estimates, references) -> EvalResult:
-    """Permutation-aligned SDR and SIR of estimates against references.
-
-    For every (estimate, reference) pair the estimate is split into a
-    target part (projection onto the time-shifted matched reference),
-    an interference part (extra projection explained by the remaining
-    references), and an artifact remainder. The returned metrics use
-    the assignment with the largest mean SIR.
-    """
-    est = _as_mono(estimates, "estimates")
-    refs = _as_mono(references, "references")
-    if est.shape[0] != refs.shape[0]:
-        raise ValueError("estimate and reference counts differ")
-    if est.shape[1] != refs.shape[1]:
-        raise ValueError("estimate and reference lengths differ")
-    energies = np.sum(refs**2, axis=1)
-    if np.any(energies == 0):
-        raise ValueError("zero-energy reference")
-    n_src = refs.shape[0]
-    sdr, sir = _scores(est, refs, FILTER_LEN)
-
+def _aligned(sdr: np.ndarray, sir: np.ndarray) -> EvalResult:
+    """Scores of one estimate set under the assignment with the largest mean SIR."""
+    n_src = sdr.shape[1]
     best_perm = None
     best_mean = -np.inf
     for perm in itertools.permutations(range(n_src)):
@@ -184,6 +172,53 @@ def sdr_sir(estimates, references) -> EvalResult:
         sir=np.array([sir[best_perm[j], j] for j in range(n_src)]),
         permutation=tuple(best_perm),
     )
+
+
+def sdr_sir_sets(estimate_sets, references) -> list:
+    """``sdr_sir`` of several estimate sets against one set of references.
+
+    Each set is scored as ``sdr_sir`` scores it alone, and one
+    ``EvalResult`` per set comes back in order. The references' Gram is
+    built and solved once for all sets together, so scoring the
+    unprocessed mixture and several methods of one scene costs about as
+    much as scoring one of them. Estimates and references that carry
+    sample rates must agree on them.
+    """
+    refs, ref_rate = _as_mono(references, "references")
+    sets = []
+    for estimates in estimate_sets:
+        est, rate = _as_mono(estimates, "estimates")
+        if est.shape[0] != refs.shape[0]:
+            raise ValueError("estimate and reference counts differ")
+        if est.shape[1] != refs.shape[1]:
+            raise ValueError("estimate and reference lengths differ")
+        if None not in (rate, ref_rate) and rate != ref_rate:
+            raise ValueError(
+                f"estimate sample rate {rate} Hz differs from reference sample rate {ref_rate} Hz"
+            )
+        sets.append(est)
+    if not sets:
+        raise ValueError("need at least one estimate set")
+    if np.any(np.sum(refs**2, axis=1) == 0):
+        raise ValueError("zero-energy reference")
+    n_src = refs.shape[0]
+    sdr, sir = _scores(np.concatenate(sets), refs, FILTER_LEN)
+    return [
+        _aligned(sdr[k * n_src : (k + 1) * n_src], sir[k * n_src : (k + 1) * n_src])
+        for k in range(len(sets))
+    ]
+
+
+def sdr_sir(estimates, references) -> EvalResult:
+    """Permutation-aligned SDR and SIR of estimates against references.
+
+    For every (estimate, reference) pair the estimate is split into a
+    target part (projection onto the time-shifted matched reference),
+    an interference part (extra projection explained by the remaining
+    references), and an artifact remainder. The returned metrics use
+    the assignment with the largest mean SIR.
+    """
+    return sdr_sir_sets([estimates], references)[0]
 
 
 def improvement(processed: EvalResult, unprocessed: EvalResult) -> Improvement:

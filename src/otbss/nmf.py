@@ -67,21 +67,26 @@ def variance(model: NmfModel) -> np.ndarray:
     return np.maximum(model.basis @ model.activation, EPS)
 
 
-def is_update(model: NmfModel, power: np.ndarray) -> NmfModel:
+def is_update(model: NmfModel, power: np.ndarray, lam=None) -> NmfModel:
     """One multiplicative sweep: update W, refresh the variance, update H.
 
     The square-root multiplicative rules are the standard majorization
     steps for the Itakura-Saito objective; each half-step is
     guaranteed not to increase the divergence. ``power`` is whatever
     the model is fitted to: the demixed power for ILRMA, the transport
-    marginals for SDILRMA.
+    marginals for SDILRMA. ``lam``, if given, must be the model's
+    ``variance``, which a caller already holding it passes to spare the
+    first half-step's product.
     """
     p = np.maximum(np.asarray(power, dtype=np.float64), EPS)
     if p.shape != (model.n_bins, model.n_frames):
         raise ValueError("power shape must match (n_bins, n_frames)")
 
     w, h = model.basis, model.activation
-    lam = np.maximum(w @ h, EPS)
+    if lam is None:
+        lam = variance(model)
+    elif np.shape(lam) != p.shape:
+        raise ValueError("lam shape must match (n_bins, n_frames)")
     ratio = p / lam**2
     numer = ratio @ h.T
     denom = (1.0 / lam) @ h.T

@@ -19,8 +19,11 @@ import pytest
 
 import otbss
 from otbss import cli
-from otbss.audio import read_wav
+from otbss.audio import StftConfig, TimeSignal, read_wav, write_wav
 from otbss.cli import EXIT_CONFIG, EXIT_OK, main
+from otbss.engine import SeparationConfig
+from otbss.errors import SinkhornNumericError
+from otbss.metrics import improvement, sdr_sir
 
 
 def _write_json(path, payload):
@@ -252,6 +255,19 @@ class TestEvaluate:
         assert code == EXIT_CONFIG
         assert "1 estimates vs 2 references" in capsys.readouterr().err
 
+    def test_sample_rate_mismatch_exits_2(self, sim_dir, tmp_path, capsys):
+        # the same samples relabelled 8 kHz: scored as they were, they read 100 dB
+        est = tmp_path / "est"
+        est.mkdir()
+        for n in range(2):
+            img = read_wav(sim_dir / f"img_{n}.wav")
+            write_wav(est / f"est_{n}.wav", TimeSignal(img.samples, 8000), encoding="float32")
+        out = tmp_path / "e.csv"
+        assert main(["evaluate", str(est), str(sim_dir), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "8000 Hz" in err and "16000 Hz" in err
+        assert not out.exists()
+
     def test_empty_directory_exits_2(self, sim_dir, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -327,6 +343,43 @@ class TestBenchmark:
             again = tmp_path / f"bench-jobs{jobs}.csv"
             assert main(["benchmark", "--config", plan, "--out", str(again), "--jobs", jobs]) == EXIT_OK
             assert strip(again) == strip(out), f"--jobs {jobs}"
+
+    def test_failed_method_leaves_the_others_scored_in_one_call(self, monkeypatch):
+        separate, score = cli.separate, cli.sdr_sir_sets
+        calls = []
+
+        def failing(spec, cfg, n_sources=None):
+            if cfg.method == "sdilrma-kron":
+                raise SinkhornNumericError("non-finite scalings, frame 3", iteration=2, context=3)
+            return separate(spec, cfg, n_sources=n_sources)
+
+        def spy(sets, references):
+            calls.append((sets, references))
+            return score(sets, references)
+
+        monkeypatch.setattr(cli, "separate", failing)
+        monkeypatch.setattr(cli, "sdr_sir_sets", spy)
+        plan = {"angle_seed": 0, "seed": 0, "duration": 0.5, "sample_rate": 16000}
+        methods = ("ilrma", "sdilrma-kron", "sdilrma-dense")
+        configs = [SeparationConfig(method=m, outer_iters=3, stft=StftConfig(256, 64)) for m in methods]
+        rows = cli._run_cell(plan, configs, 0.0, 0)
+
+        assert len(calls) == 1
+        sets, references = calls[0]
+        assert len(sets) == 3  # the baseline, ilrma and sdilrma-dense
+        assert [r[2] for r in rows] == [m for m in methods for _ in range(2)]
+        baseline = sdr_sir(sets[0], references)
+        for method, estimates in zip(("ilrma", "sdilrma-dense"), sets[1:]):
+            gains = improvement(sdr_sir(estimates, references), baseline)
+            expected = [
+                (0.0, 0, method, n, f"{gains.sdr[n]:.4f}", f"{gains.sir[n]:.4f}", "ok") for n in range(2)
+            ]
+            assert [r[:6] + r[7:] for r in rows if r[2] == method] == expected
+        failed = [r for r in rows if r[2] == "sdilrma-kron"]
+        assert [r[:6] + r[7:] for r in failed] == [
+            (0.0, 0, "sdilrma-kron", n, "", "", "failed: non-finite scalings; frame 3") for n in range(2)
+        ]
+        assert all(float(r[6]) >= 0.0 for r in rows)
 
     def test_unknown_method_in_plan_exits_2(self, tmp_path, capsys):
         plan = _write_json(tmp_path / "plan.json", {"schema": 1, "methods": ["auxiva"]})

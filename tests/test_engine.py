@@ -286,6 +286,34 @@ class TestIpUpdate:
         assert np.all(np.isfinite(d[3]))
 
 
+    @pytest.mark.parametrize("n_chan", [2, 3])
+    def test_precomputed_planes_give_the_same_bits(self, n_chan, monkeypatch):
+        # equal channels make bin 3 singular: its solve takes the diagonal load
+        loaded = []
+        rows = engine._projection_rows
+
+        def spy(system, cov, n, bins, retry=True):
+            if not retry:
+                loaded.extend(bins.tolist())
+            return rows(system, cov, n, bins, retry)
+
+        monkeypatch.setattr(engine, "_projection_rows", spy)
+        rng = np.random.default_rng(8)
+        x = _random_spectrogram(rng, n_chan, 7, 9)
+        x[1:, 3] = x[0, 3]
+        lam = rng.uniform(0.5, 2.0, size=(n_chan, 7, 9))
+        d = np.eye(n_chan) + 0.3 * _random_spectrogram(rng, 7, n_chan, n_chan)
+        planes = engine._cross_planes(x)
+        for _ in range(3):
+            got = ip_update(d, x, lam, planes)
+            np.testing.assert_array_equal(got, ip_update(d, x, lam))
+            d = got
+        assert 3 in loaded
+        assert np.all(np.isfinite(d[3]))
+        with pytest.raises(ValueError, match="planes"):
+            ip_update(d, x, lam, planes[:, :-1])
+
+
 class TestNormalize:
     def _setup(self, seed=5, n_bins=6, n_frames=8):
         rng = np.random.default_rng(seed)
@@ -886,7 +914,7 @@ class TestSeparate:
         # must stop the run before the objective or the next iteration
         mixture, _, _ = _speech_scene(duration=0.3)
 
-        def rank_deficient(demixing, data, variances):
+        def rank_deficient(demixing, data, variances, planes=None):
             out = np.zeros_like(demixing)
             out[:, :, 0] = 1.0
             return out

@@ -3,8 +3,9 @@
 Independent oracles: estimates built as reference-plus-scaled-noise at
 an exact energy ratio, short-filtered references that a 512-tap
 projection must absorb completely, hand-permuted inputs whose scores
-must not move, and the per-estimate projection with scipy Toeplitz
-blocks (``helpers.reference_sdr_sir_scores``).
+must not move, the per-estimate projection with scipy Toeplitz
+blocks (``helpers.reference_sdr_sir_scores``), and one call per
+estimate set against several sets in one call.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from helpers import reference_sdr_sir_scores
 
 from otbss import metrics
 from otbss.audio import TimeSignal
-from otbss.metrics import CLAMP_DB, FILTER_LEN, EvalResult, improvement, sdr_sir
+from otbss.metrics import CLAMP_DB, FILTER_LEN, EvalResult, improvement, sdr_sir, sdr_sir_sets
 from otbss.roomsim import synth_speech
 
 
@@ -151,6 +152,41 @@ class TestAgainstPerEstimateProjection:
         self._assert_scores_match(est, refs)
 
 
+class TestEstimateSets:
+    """Several estimate sets in one call score as one call per set does."""
+
+    def test_sets_match_per_set_calls_and_the_per_estimate_projection(self):
+        refs = np.vstack([synth_speech(0.5, 16000, seed=s).samples for s in (11, 12)])
+        rng = np.random.default_rng(3)
+        mix = refs.sum(axis=0)
+        sets = [
+            [mix, mix],  # the unprocessed baseline: both estimates are one signal
+            list(refs + 0.3 * refs[::-1] + 0.05 * rng.standard_normal(refs.shape)),
+            list(refs[::-1] + 0.2 * rng.standard_normal(refs.shape)),  # swapped
+        ]
+        results = sdr_sir_sets(sets, list(refs))
+        assert len(results) == len(sets)
+        sdr, sir = metrics._scores(np.vstack(sets), refs, FILTER_LEN)
+        for k, (est, got) in enumerate(zip(sets, results)):
+            alone = sdr_sir(est, list(refs))
+            np.testing.assert_allclose(got.sdr, alone.sdr, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.sir, alone.sir, rtol=0, atol=1e-12)
+            assert got.permutation == alone.permutation
+            ref_sdr, ref_sir = reference_sdr_sir_scores(np.vstack(est), refs, FILTER_LEN)
+            np.testing.assert_allclose(sdr[2 * k : 2 * k + 2], ref_sdr, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(sir[2 * k : 2 * k + 2], ref_sir, rtol=0, atol=1e-9)
+        assert results[2].permutation == (1, 0)
+
+    def test_every_set_is_validated(self):
+        r0, r1 = _tones()
+        with pytest.raises(ValueError, match="counts"):
+            sdr_sir_sets([[r0, r1], [r0]], [r0, r1])
+        with pytest.raises(ValueError, match="lengths"):
+            sdr_sir_sets([[r0, r1], [r0, r1[:-5]]], [r0, r1])
+        with pytest.raises(ValueError, match="estimate set"):
+            sdr_sir_sets([], [r0, r1])
+
+
 class TestImprovement:
     def test_zero_for_identical_results(self):
         r0, r1 = _tones()
@@ -204,6 +240,16 @@ class TestValidation:
                 [TimeSignal(r0[None, :], 8000), TimeSignal(r1[None, :], 16000)],
                 [TimeSignal(r0[None, :], 8000), TimeSignal(r1[None, :], 8000)],
             )
+
+    def test_estimate_and_reference_rates_must_agree(self):
+        # same length at another rate: scored as it was, it read 100 dB
+        r0, r1 = _tones()
+        refs = [TimeSignal(r[None, :], 16000) for r in (r0, r1)]
+        slow = [TimeSignal(r[None, :], 8000) for r in (r0, r1)]
+        with pytest.raises(ValueError, match="8000 Hz.*16000 Hz"):
+            sdr_sir(slow, refs)
+        with pytest.raises(ValueError, match="8000 Hz.*16000 Hz"):
+            sdr_sir_sets([refs, slow], refs)
 
     def test_result_is_frozen(self):
         r0, _ = _tones()
