@@ -236,18 +236,23 @@ def istft(spec: Spectrogram) -> TimeSignal:
     """
     L, hop = spec.window_len, spec.hop
     n = spec.original_length
-    n_frames = spec.n_frames
-    padded_len = (n_frames - 1) * hop + L
+    n_chan, n_frames = spec.n_channels, spec.n_frames
     taper = StftConfig(window_len=L, hop=hop).taper()
+    ratio = L // hop  # a COLA hop divides the window
 
     frames = np.fft.irfft(spec.data.transpose(0, 2, 1), n=L, axis=-1)
     frames *= taper[None, None, :]
 
-    out = np.zeros((spec.n_channels, padded_len))
-    den = np.zeros(padded_len)
-    for m in range(n_frames):
-        out[:, m * hop : m * hop + L] += frames[:, m]
-        den[m * hop : m * hop + L] += taper**2
+    # overlap-add in hop-long blocks: block b takes segment k of frame
+    # b - k, last segment first, so every sample adds its frames in order
+    segments = frames.reshape(n_chan, n_frames, ratio, hop)
+    window_sq = (taper**2).reshape(ratio, hop)
+    out = np.zeros((n_chan, n_frames + ratio - 1, hop))
+    den = np.zeros((n_frames + ratio - 1, hop))
+    for k in reversed(range(ratio)):
+        out[:, k : k + n_frames] += segments[:, :, k]
+        den[k : k + n_frames] += window_sq[k]
+    out, den = out.reshape(n_chan, -1), den.ravel()
     nz = den > 1e-12
     out[:, nz] /= den[nz]
     return TimeSignal(samples=out[:, L : L + n], sample_rate=spec.sample_rate)

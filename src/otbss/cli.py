@@ -244,7 +244,7 @@ def cmd_separate(args) -> int:
             encoding="float32",
         )
     with (out / "trace.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "objective"])
         for record in result.trace:
             writer.writerow([record.iteration, f"{record.objective:.6f}"])
@@ -283,7 +283,7 @@ def cmd_evaluate(args) -> int:
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["source", "sdr_db", "sir_db", "perm"])
         for j in range(len(result.sdr)):
             writer.writerow(
@@ -380,7 +380,7 @@ def cmd_benchmark(args) -> int:
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(BENCH_FIELDS)
         for row in rows:
             writer.writerow([f"{row[0]:g}", *row[1:]])

@@ -22,7 +22,7 @@ by less than ``tol``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -115,31 +115,23 @@ def init_demixing(n_sources: int, n_bins: int) -> np.ndarray:
 
 
 def _demix(demixing: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """y_{f,t} = D_f x_{f,t} for every frequency and frame."""
+    """y_{f,t} = D_f x_{f,t} for every frequency and frame, shape (F, N, T)."""
     if demixing.ndim != 3 or demixing.shape[0] != data.shape[1] or demixing.shape[2] != data.shape[0]:
         raise ValueError(
             f"demixing shape {demixing.shape} does not match data shape {data.shape}"
         )
-    return np.einsum("fnm,mft->nft", demixing, data)
+    return np.einsum("fnm,mft->fnt", demixing, data)
 
 
-def _like(spec: Spectrogram, data: np.ndarray) -> Spectrogram:
-    return Spectrogram(
-        data=data,
-        window_len=spec.window_len,
-        hop=spec.hop,
-        sample_rate=spec.sample_rate,
-        original_length=spec.original_length,
-    )
-
-
-def _cross_planes(data: np.ndarray) -> np.ndarray:
+def cross_planes(mixture) -> np.ndarray:
     """Re x_m conj(x_p) (m <= p), then Im x_m conj(x_p) (m < p), as real planes.
 
-    They depend on the mixture alone, so ``separate`` forms them once for
-    every iteration's covariances. Each plane is written in place, since
-    fresh full-size temporaries cost more than the arithmetic.
+    The (C*C, F, T) planes ``ip_update`` weights. They depend on the
+    mixture alone, so ``separate`` forms them once for every iteration's
+    covariances. Each plane is written in place, since fresh full-size
+    temporaries cost more than the arithmetic.
     """
+    data = _as_data(mixture)
     n_chan, n_bins, n_frames = data.shape
     re, im = data.real, data.imag
     i, j = np.triu_indices(n_chan)
@@ -156,17 +148,17 @@ def _cross_planes(data: np.ndarray) -> np.ndarray:
 
 
 def _weighted_covariances(planes: np.ndarray, weights: np.ndarray, n_chan: int) -> np.ndarray:
-    """V[f, n] = (1/T) sum_t weights_{n,f,t} x_{f,t} x_{f,t}^H for every source.
+    """V[f, n] = (1/T) sum_t weights_{f,n,t} x_{f,t} x_{f,t}^H for every source.
 
-    ``planes`` are the mixture's cross-channel planes (``_cross_planes``);
+    ``planes`` are the mixture's cross-channel planes (``cross_planes``);
     one real batched matmul weights them. The same real arithmetic in
     every plane keeps V exactly Hermitian and exactly singular for
     equal channels.
     """
-    n_src, n_bins, n_frames = weights.shape
+    n_bins, n_src, n_frames = weights.shape
     i, j = np.triu_indices(n_chan)
     off = np.flatnonzero(i < j)
-    sums = np.matmul(weights.transpose(1, 0, 2), planes.transpose(1, 2, 0)) / n_frames
+    sums = np.matmul(weights, planes.transpose(1, 2, 0)) / n_frames
     upper = sums[..., : i.size].astype(np.complex128)
     upper[..., off] += 1j * sums[..., i.size :]
     cov = np.empty((n_bins, n_src, n_chan, n_chan), dtype=np.complex128)
@@ -205,35 +197,31 @@ def _projection_rows(system, cov, n: int, bins: np.ndarray, retry: bool = True):
     return d
 
 
-def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray, planes=None) -> np.ndarray:
+def ip_update(demixing: np.ndarray, planes: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """One iterative-projection sweep over every (source, frequency).
 
-    For source n and frequency f the weighted covariance
-    V = (1/T) sum_t x x^H / lambda_{n,f,t} is formed, (D_f V) d = e_n
-    is solved, and row n of D_f becomes d^H with d scaled so that
-    d^H V d = 1. Rows are updated in sequence, so later sources see the
-    rows already replaced; all frequencies are solved in one batch.
-    Only failing bins (singular system, or d^H V d not positive) get a
-    trace-scaled diagonal load, once; a bin that fails again raises
-    DemixingNumericError with its source and frequency. ``planes``, if
-    given, are the mixture's ``_cross_planes``, which a caller that
-    sweeps the same mixture many times forms once; without them they
-    are formed here.
+    ``planes`` are the mixture's ``cross_planes`` and ``variances`` the
+    (F, N, T) source variances. For source n and frequency f the
+    weighted covariance V = (1/T) sum_t x x^H / lambda_{f,n,t} is
+    formed, (D_f V) d = e_n is solved, and row n of D_f becomes d^H
+    with d scaled so that d^H V d = 1. Rows are updated in sequence, so
+    later sources see the rows already replaced; all frequencies are
+    solved in one batch. Only failing bins (singular system, or
+    d^H V d not positive) get a trace-scaled diagonal load, once; a bin
+    that fails again raises DemixingNumericError with its source and
+    frequency.
     """
-    data = _as_data(mixture)
-    n_chan, n_bins, n_frames = data.shape
     lam = np.maximum(np.asarray(variances, dtype=np.float64), EPS)
-    n_src = lam.shape[0]
-    if lam.shape != (n_src, n_bins, n_frames):
-        raise ValueError("variances must have shape (n_sources, n_bins, n_frames)")
+    if lam.ndim != 3:
+        raise ValueError("variances must have shape (n_bins, n_sources, n_frames)")
+    n_bins, n_src, n_frames = lam.shape
+    n_chan = demixing.shape[-1]
     if demixing.shape != (n_bins, n_src, n_chan):
-        raise ValueError("demixing shape inconsistent with data and variances")
+        raise ValueError("demixing shape inconsistent with variances")
     if n_src != n_chan:
         raise ValueError("iterative projection needs a square demixing system")
-    if planes is None:
-        planes = _cross_planes(data)
-    elif planes.shape != (n_chan * n_chan, n_bins, n_frames):
-        raise ValueError("planes shape inconsistent with data")
+    if planes.shape != (n_chan * n_chan, n_bins, n_frames):
+        raise ValueError("planes shape inconsistent with demixing and variances")
     out = demixing.astype(np.complex128, copy=True)
     cov = _weighted_covariances(planes, np.divide(1.0, lam, out=lam), n_chan)
     for n in range(n_src):
@@ -245,14 +233,14 @@ def ip_update(demixing: np.ndarray, mixture, variances: np.ndarray, planes=None)
 def normalize(demixing: np.ndarray, models: list, power: np.ndarray, source_power: np.ndarray):
     """Rescale each source to unit mean power without changing the fit.
 
-    ``power`` is the demixed power |y|^2 of every source, and
-    ``source_power`` its mean over bins and frames. Row n of every D_f,
-    the demixed power of source n, and the basis rows of model n are
-    scaled by 1/rho_n, 1/rho_n^2, and 1/rho_n^2 with
+    ``power`` is the (F, N, T) demixed power |y|^2, and
+    ``source_power`` each source's mean over bins and frames. Row n of
+    every D_f, the demixed power of source n, and the basis rows of
+    model n are scaled by 1/rho_n, 1/rho_n^2, and 1/rho_n^2 with
     rho_n^2 = source_power[n], so the demixed-model likelihood is
     untouched. Zero-power sources are left alone with a warning.
     """
-    n_src = power.shape[0]
+    n_src = power.shape[1]
     if len(models) != n_src or demixing.shape[1] != n_src or np.shape(source_power) != (n_src,):
         raise ValueError("models, demixing, power, and source_power disagree on source count")
     rho_sq = np.array(source_power, dtype=np.float64)
@@ -261,15 +249,16 @@ def normalize(demixing: np.ndarray, models: list, power: np.ndarray, source_powe
     rho_sq[rho_sq == 0] = 1.0
     out_models = [NmfModel(m.basis / r, m.activation) for m, r in zip(models, rho_sq)]
     out_d = demixing / np.sqrt(rho_sq)[None, :, None]
-    return out_d, out_models, power / rho_sq[:, None, None]
+    return out_d, out_models, power / rho_sq[:, None]
 
 
 def ilrma_objective(power: np.ndarray, variances: np.ndarray, logdet: np.ndarray) -> float:
     """Demixed-model log-likelihood with constants dropped.
 
-    -sum_{n,f,t} (|y|^2/lambda + log lambda) + 2T sum_f log|det D_f|,
-    with ``logdet`` the log|det D_f| of every bin, as ``slogdet``
-    returns it. Larger is better; the ILRMA sweep never decreases it.
+    -sum_{f,n,t} (|y|^2/lambda + log lambda) + 2T sum_f log|det D_f|,
+    with ``power`` and ``variances`` in (F, N, T) and ``logdet`` the
+    log|det D_f| of every bin, as ``slogdet`` returns it. Larger is
+    better; the ILRMA sweep never decreases it.
     """
     lam = np.maximum(np.asarray(variances, dtype=np.float64), EPS)
     p = np.asarray(power, dtype=np.float64)
@@ -380,55 +369,51 @@ def separate(
     starts from the variance the loop already holds.
     """
     data, demixing, models = _prepare(mixture, cfg, n_sources)
-    n_src, n_bins, n_frames = data.shape
+    _, n_bins, n_frames = data.shape
     transport = cfg.method != "ilrma"
     kernel = _sd_kernel(n_bins, cfg) if transport else None
     cache = None
     trace = []
+    # power, variances and targets are (F, N, T), so the transport batch
+    # is their (F, N*T) view: column n*T + t is frame t of source n.
     # D starts at the identity: the first demixed power is the mixture's
-    power = data.real**2 + data.imag**2
-    planes = _cross_planes(data)  # every IP sweep weights these same planes
-    lam = np.stack([variance(m) for m in models])
+    power = np.ascontiguousarray((data.real**2 + data.imag**2).transpose(1, 0, 2))
+    planes = cross_planes(data)  # every IP sweep weights these same planes
+    lam = np.stack([variance(m) for m in models], axis=1)
     for it in range(cfg.outer_iters):
         if transport:
-            # sources side by side: column n*T + t is frame t of source n
-            flat_power, flat_lam = np.hstack(power), np.hstack(lam)
-            del power  # read only as flat_power from here; held over, it raises peak RSS
-            lam = np.hsplit(flat_lam, n_src)  # views, for the same reason
+            batch = power.reshape(n_bins, -1), lam.reshape(n_bins, -1)
             try:
-                cache = compute_frame_marginals(
-                    flat_power, flat_lam, kernel, cfg.sinkhorn, init=cache
-                )
+                cache = compute_frame_marginals(*batch, kernel, cfg.sinkhorn, init=cache)
             except SinkhornNumericError as err:
                 where = None if err.context is None else divmod(err.context, n_frames)
                 msg = f"marginal computation failed at (source, frame) {where}: {err}"
                 raise SinkhornNumericError(msg, iteration=err.iteration, context=where) from err
-            objective = _transport_objective(cache, flat_power, flat_lam, cfg.sinkhorn)
-            target = np.hsplit(cache.row, n_src)
-            del flat_power, flat_lam  # likewise
+            objective = _transport_objective(cache, *batch, cfg.sinkhorn)
+            target = cache.row.reshape(lam.shape)
         else:
             target = power
-        models = [is_update(m, t, v) for m, t, v in zip(models, target, lam)]
-        demixing = ip_update(demixing, data, np.stack([variance(m) for m in models]), planes)
+        models = [is_update(m, target[:, n], lam[:, n]) for n, m in enumerate(models)]
+        demixing = ip_update(demixing, planes, np.stack([variance(m) for m in models], axis=1))
         y = _demix(demixing, data)
         power = y.real**2 + y.imag**2
-        del y, target  # likewise
-        source_power = power.mean(axis=(1, 2))
+        del y, target  # held over to the next iteration, they raise peak RSS
+        source_power = power.mean(axis=(0, 2))
         # the next iteration's target, solve and objective read these
         demixing, models, power = normalize(demixing, models, power, source_power)
         logdet = np.linalg.slogdet(demixing)[1]
         if not np.all(np.isfinite(logdet)):
             raise DemixingNumericError("demixing matrix became singular")
-        lam = np.stack([variance(m) for m in models])
+        lam = np.stack([variance(m) for m in models], axis=1)
         if not transport:
             objective = ilrma_objective(power, lam, logdet)
         trace.append(IterationRecord(it + 1, objective, tuple(source_power.tolist())))
     del planes  # the images below would otherwise peak on top of them
-    estimates = _demix(demixing, data)
+    estimates = _demix(demixing, data).transpose(1, 0, 2)
     images = back_project(estimates, demixing, cfg.ref_mic)
     return SeparationResult(
-        estimates=_like(mixture, estimates),
-        images=_like(mixture, images),
+        estimates=replace(mixture, data=estimates),
+        images=replace(mixture, data=images),
         demixing=demixing,
         trace=tuple(trace),
     )

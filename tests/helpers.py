@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.signal import get_window
 from scipy.special import logsumexp, xlogy
 
 from otbss.errors import CapabilityError
@@ -257,3 +258,25 @@ def reference_sdr_sir_scores(est, refs, flen):
             sdr[i, j] = _db(t_energy, float(np.sum((interf + artif) ** 2)))
             sir[i, j] = _db(t_energy, float(np.sum(interf**2)))
     return sdr, sir
+
+
+def reference_istft(spec) -> np.ndarray:
+    """Samples of ``istft`` by a per-frame overlap-add loop, frames in order.
+
+    Each frame is inverted, windowed again by scipy's periodic Hann, and
+    added at m * hop; the sum is divided by the accumulated squared
+    window wherever that is not zero, and the front padding of one
+    window is cut off.
+    """
+    L, hop = spec.window_len, spec.hop
+    taper = get_window("hann", L, fftbins=True)
+    frames = np.fft.irfft(spec.data.transpose(0, 2, 1), n=L, axis=-1) * taper
+    padded_len = (spec.n_frames - 1) * hop + L
+    out = np.zeros((spec.n_channels, padded_len))
+    den = np.zeros(padded_len)
+    for m in range(spec.n_frames):
+        out[:, m * hop : m * hop + L] += frames[:, m]
+        den[m * hop : m * hop + L] += taper**2
+    nz = den > 1e-12
+    out[:, nz] /= den[nz]
+    return out[:, L : L + spec.original_length]

@@ -166,7 +166,7 @@ def test_05_oracle_variances_drive_demixing_home():
     # overlapping-spectrum sources would cap the attainable accuracy at
     # the estimator's own statistical floor instead
     start = time.perf_counter()
-    from otbss.engine import init_demixing, ip_update
+    from otbss.engine import cross_planes, init_demixing, ip_update
 
     n_bins, n_frames = 64, 400
     small = 1e-6
@@ -186,8 +186,9 @@ def test_05_oracle_variances_drive_demixing_home():
         ) / np.sqrt(2.0)
         x = np.einsum("mn,nft->mft", mix, np.sqrt(lam) * z)
         d = init_demixing(2, n_bins)
+        planes, lam = cross_planes(x), lam.transpose(1, 0, 2)
         for _ in range(30):
-            d = ip_update(d, x, lam)
+            d = ip_update(d, planes, lam)
         ratios = []
         for f in range(n_bins):
             g = np.abs(d[f] @ mix)

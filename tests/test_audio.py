@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_istft
 from otbss.audio import (
     PCM16_SCALE,
     Spectrogram,
@@ -252,6 +253,19 @@ class TestIstft:
         out = istft(stft(sig))
         err = np.max(np.abs(out.samples - sig.samples))
         assert err < 1e-10
+
+    @pytest.mark.parametrize(
+        "window_len, hop, n, channels",
+        [(4, 2, 1, 1), (8, 1, 37, 2), (64, 16, 1000, 2), (256, 64, 5001, 3), (1024, 512, 32000, 2)],
+    )
+    def test_overlap_add_matches_frame_loop_bit_for_bit(self, window_len, hop, n, channels):
+        # any spectrogram, not only an STFT's: the sum order is what is pinned
+        rng = np.random.default_rng(n)
+        cfg = StftConfig(window_len=window_len, hop=hop)
+        shape = stft(TimeSignal(np.zeros((channels, n)), 16000), cfg).data.shape
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec = Spectrogram(data, window_len, hop, 16000, n)
+        np.testing.assert_array_equal(istft(spec).samples, reference_istft(spec))
 
     def test_round_trip_half_overlap(self):
         rng = np.random.default_rng(10)

@@ -311,6 +311,13 @@ class TestBenchmark:
         assert len(comments) == 4
         assert all("summary" in c for c in comments)
 
+    def test_one_line_ending(self, bench_csv):
+        # rows and summaries end alike, so a line-anchored grep counts every row
+        _, out = bench_csv
+        text = out.read_bytes()
+        assert b"\r" not in text
+        assert sum(line.endswith(b",ok") for line in text.split(b"\n")) == 2 * 1 * 2 * 2
+
     def test_rows_sorted_and_ok(self, bench_csv):
         _, out = bench_csv
         with out.open() as fh:

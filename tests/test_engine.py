@@ -32,6 +32,7 @@ from otbss.engine import (
     _demix,
     _transport_objective,
     back_project,
+    cross_planes,
     ilrma_objective,
     init_demixing,
     ip_update,
@@ -167,14 +168,14 @@ class TestApplyDemixing:
         rng = np.random.default_rng(0)
         x = _random_spectrogram(rng, 2, 6, 4)
         y = _demix(init_demixing(2, 6), x)
-        np.testing.assert_allclose(y, x, rtol=0, atol=0)
+        np.testing.assert_allclose(y, x.transpose(1, 0, 2), rtol=0, atol=0)
 
     def test_inverts_instantaneous_mixture(self):
         rng = np.random.default_rng(1)
         s = _random_spectrogram(rng, 2, 5, 7)
         x = np.einsum("mn,nft->mft", MIX, s)
         d = np.broadcast_to(np.linalg.inv(MIX), (5, 2, 2)).astype(np.complex128)
-        np.testing.assert_allclose(_demix(d, x), s, atol=1e-12)
+        np.testing.assert_allclose(_demix(d, x), s.transpose(1, 0, 2), atol=1e-12)
 
     def test_linear(self):
         rng = np.random.default_rng(2)
@@ -204,25 +205,25 @@ class TestApplyDemixing:
 class TestIpUpdate:
     def test_oracle_variance_recovers_unmixing(self):
         mixture, sources, _ = _speech_scene(duration=2.0)
-        lam = np.maximum(np.abs(sources.data) ** 2, 1e-12)
+        lam = np.maximum(np.abs(sources.data) ** 2, 1e-12).transpose(1, 0, 2)
         d = init_demixing(2, mixture.n_bins)
         for _ in range(30):
-            d = ip_update(d, mixture, lam)
+            d = ip_update(d, cross_planes(mixture), lam)
         ratios = np.array([_off_pattern(d[f] @ MIX) for f in range(mixture.n_bins)])
         assert np.median(ratios) < 1e-3
 
     def test_objective_nondecreasing_at_fixed_variance(self):
         mixture, sources, _ = _speech_scene(duration=0.5)
-        lam = np.maximum(np.abs(sources.data) ** 2, 1e-12)
+        lam = np.maximum(np.abs(sources.data) ** 2, 1e-12).transpose(1, 0, 2)
         d = init_demixing(2, mixture.n_bins)
 
         def objective(d):
-            power = _power(np.einsum("fnm,mft->nft", d, mixture.data))
+            power = _power(np.einsum("fnm,mft->fnt", d, mixture.data))
             return ilrma_objective(power, lam, np.linalg.slogdet(d)[1])
 
         prev = objective(d)
         for _ in range(8):
-            d = ip_update(d, mixture, lam)
+            d = ip_update(d, cross_planes(mixture), lam)
             cur = objective(d)
             assert cur >= prev - 1e-8 * abs(prev)
             prev = cur
@@ -231,7 +232,7 @@ class TestIpUpdate:
         rng = np.random.default_rng(3)
         x = _random_spectrogram(rng, 1, 6, 50)
         lam = rng.uniform(0.5, 2.0, size=(1, 6, 50))
-        d = ip_update(init_demixing(1, 6), x, lam)
+        d = ip_update(init_demixing(1, 6), cross_planes(x), lam.transpose(1, 0, 2))
         weighted = np.mean(np.abs(x[0]) ** 2 / lam[0], axis=1)
         np.testing.assert_allclose(np.abs(d[:, 0, 0]), 1.0 / np.sqrt(weighted), rtol=1e-12)
 
@@ -239,13 +240,13 @@ class TestIpUpdate:
         rng = np.random.default_rng(4)
         base = _random_spectrogram(rng, 1, 4, 6)
         x = np.concatenate([base, base], axis=0)
-        d = ip_update(init_demixing(2, 4), x, np.ones((2, 4, 6)))
+        d = ip_update(init_demixing(2, 4), cross_planes(x), np.ones((4, 2, 6)))
         assert np.all(np.isfinite(d))
 
     def test_rejects_rectangular_system(self):
         wide = np.broadcast_to(np.eye(2, 3, dtype=complex), (4, 2, 3))
         with pytest.raises(ValueError):
-            ip_update(wide, np.zeros((3, 4, 5), dtype=complex), np.ones((2, 4, 5)))
+            ip_update(wide, cross_planes(np.zeros((3, 4, 5), dtype=complex)), np.ones((4, 2, 5)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -261,7 +262,7 @@ class TestIpUpdate:
         lam = rng.uniform(0.1, 2.0, size=(n_chan, n_bins, n_frames))
         d = np.eye(n_chan) + 0.3 * _random_spectrogram(rng, n_bins, n_chan, n_chan)
         expected = reference_ip_update(d, x, lam)
-        got = ip_update(d, x, lam)
+        got = ip_update(d, cross_planes(x), lam.transpose(1, 0, 2))
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_all_zero_bin_gives_up_with_its_location(self):
@@ -269,7 +270,7 @@ class TestIpUpdate:
         x = _random_spectrogram(rng, 2, 6, 8)
         x[:, 4] = 0.0
         with pytest.raises(DemixingNumericError) as info:
-            ip_update(init_demixing(2, 6), x, np.ones((2, 6, 8)))
+            ip_update(init_demixing(2, 6), cross_planes(x), np.ones((6, 2, 8)))
         assert (info.value.source, info.value.freq) == (0, 4)
 
     def test_only_the_failing_bin_is_loaded(self):
@@ -279,16 +280,16 @@ class TestIpUpdate:
         x = _random_spectrogram(rng, 2, 7, 9)
         x[1, 3] = x[0, 3]
         lam = rng.uniform(0.5, 2.0, size=(2, 7, 9))
-        d = ip_update(init_demixing(2, 7), x, lam)
+        d = ip_update(init_demixing(2, 7), cross_planes(x), lam.transpose(1, 0, 2))
         keep = np.arange(7) != 3
-        alone = ip_update(init_demixing(2, 6), x[:, keep], lam[:, keep])
+        alone = ip_update(init_demixing(2, 6), cross_planes(x[:, keep]), lam[:, keep].transpose(1, 0, 2))
         np.testing.assert_array_equal(d[keep], alone)
         assert np.all(np.isfinite(d[3]))
 
-
     @pytest.mark.parametrize("n_chan", [2, 3])
-    def test_precomputed_planes_give_the_same_bits(self, n_chan, monkeypatch):
-        # equal channels make bin 3 singular: its solve takes the diagonal load
+    def test_singular_bin_on_shared_planes_is_loaded(self, n_chan, monkeypatch):
+        # equal channels make bin 3 singular: its solve takes the diagonal
+        # load in every sweep over the same planes
         loaded = []
         rows = engine._projection_rows
 
@@ -301,17 +302,15 @@ class TestIpUpdate:
         rng = np.random.default_rng(8)
         x = _random_spectrogram(rng, n_chan, 7, 9)
         x[1:, 3] = x[0, 3]
-        lam = rng.uniform(0.5, 2.0, size=(n_chan, 7, 9))
+        lam = rng.uniform(0.5, 2.0, size=(7, n_chan, 9))
         d = np.eye(n_chan) + 0.3 * _random_spectrogram(rng, 7, n_chan, n_chan)
-        planes = engine._cross_planes(x)
+        planes = cross_planes(x)
         for _ in range(3):
-            got = ip_update(d, x, lam, planes)
-            np.testing.assert_array_equal(got, ip_update(d, x, lam))
-            d = got
+            d = ip_update(d, planes, lam)
         assert 3 in loaded
-        assert np.all(np.isfinite(d[3]))
+        assert np.all(np.isfinite(d))
         with pytest.raises(ValueError, match="planes"):
-            ip_update(d, x, lam, planes[:, :-1])
+            ip_update(d, planes[:, :-1], lam)
 
 
 class TestNormalize:
@@ -324,8 +323,8 @@ class TestNormalize:
 
     def test_unit_mean_power(self):
         d, models, _, power = self._setup()
-        _, _, power2 = normalize(d, models, power, power.mean(axis=(1, 2)))
-        np.testing.assert_allclose(power2.mean(axis=(1, 2)), 1.0, rtol=1e-12)
+        _, _, power2 = normalize(d, models, power, power.mean(axis=(0, 2)))
+        np.testing.assert_allclose(power2.mean(axis=(0, 2)), 1.0, rtol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -340,20 +339,20 @@ class TestNormalize:
         # of the model floor, where the invariance is exact
         rng = np.random.default_rng(seed)
         gains = 10.0 ** np.array(log_gains[:n_src])
-        power = _power(_random_spectrogram(rng, n_src, n_bins, n_frames)) * gains[:, None, None] ** 2
+        power = _power(_random_spectrogram(rng, n_bins, n_src, n_frames)) * gains[:, None] ** 2
         d = _random_spectrogram(rng, n_bins, n_src, n_src) + 2 * np.eye(n_src)
         models = [init_nmf(n_bins, n_frames, 2, seed=seed + n) for n in range(n_src)]
-        lam = np.stack([variance(m) for m in models])
+        lam = np.stack([variance(m) for m in models], axis=1)
         before = ilrma_objective(power, lam, np.linalg.slogdet(d)[1])
-        d2, models2, power2 = normalize(d, models, power, power.mean(axis=(1, 2)))
-        lam2 = np.stack([variance(m) for m in models2])
+        d2, models2, power2 = normalize(d, models, power, power.mean(axis=(0, 2)))
+        lam2 = np.stack([variance(m) for m in models2], axis=1)
         after = ilrma_objective(power2, lam2, np.linalg.slogdet(d2)[1])
         assert after == pytest.approx(before, rel=1e-9, abs=1e-9)
 
     def test_idempotent(self):
         d, models, _, power = self._setup()
-        d1, m1, p1 = normalize(d, models, power, power.mean(axis=(1, 2)))
-        d2, m2, p2 = normalize(d1, m1, p1, p1.mean(axis=(1, 2)))
+        d1, m1, p1 = normalize(d, models, power, power.mean(axis=(0, 2)))
+        d2, m2, p2 = normalize(d1, m1, p1, p1.mean(axis=(0, 2)))
         np.testing.assert_allclose(d2, d1, rtol=1e-12)
         np.testing.assert_allclose(p2, p1, rtol=1e-12)
         np.testing.assert_allclose(variance(m2[0]), variance(m1[0]), rtol=1e-12)
@@ -361,7 +360,7 @@ class TestNormalize:
     def test_demixing_scaled_consistently(self):
         # the rescaled power is the power of the rescaled demixing
         d, models, x, power = self._setup()
-        rho = np.sqrt(power.mean(axis=(1, 2)))
+        rho = np.sqrt(power.mean(axis=(0, 2)))
         d2, _, power2 = normalize(d, models, power, rho**2)
         np.testing.assert_allclose(d2[:, 0, :], d[:, 0, :] / rho[0], rtol=1e-12)
         np.testing.assert_allclose(d2[:, 1, :], d[:, 1, :] / rho[1], rtol=1e-12)
@@ -369,19 +368,19 @@ class TestNormalize:
 
     def test_zero_power_source_warns_and_passes_through(self):
         d, models, _, power = self._setup()
-        power[1] = 0.0
+        power[:, 1] = 0.0
         with pytest.warns(UserWarning, match="zero power"):
-            d2, models2, power2 = normalize(d, models, power, power.mean(axis=(1, 2)))
+            d2, models2, power2 = normalize(d, models, power, power.mean(axis=(0, 2)))
         np.testing.assert_array_equal(d2[:, 1, :], d[:, 1, :])
         np.testing.assert_array_equal(variance(models2[1]), variance(models[1]))
-        np.testing.assert_array_equal(power2[1], power[1])
+        np.testing.assert_array_equal(power2[:, 1], power[:, 1])
 
     def test_count_mismatch_rejected(self):
         d, models, _, power = self._setup()
         with pytest.raises(ValueError):
-            normalize(d, models[:1], power, power.mean(axis=(1, 2)))
+            normalize(d, models[:1], power, power.mean(axis=(0, 2)))
         with pytest.raises(ValueError):
-            normalize(d, models, power, power.mean(axis=(1, 2))[:1])
+            normalize(d, models, power, power.mean(axis=(0, 2))[:1])
 
 
 class TestIlrmaObjective:
@@ -394,7 +393,7 @@ class TestIlrmaObjective:
 
     def test_maximized_at_matching_variance(self):
         rng = np.random.default_rng(6)
-        power = rng.uniform(0.5, 2.0, size=(2, 5, 7))
+        power = rng.uniform(0.5, 2.0, size=(5, 2, 7))
         logdet = np.linalg.slogdet(np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2)))[1]
         best = ilrma_objective(power, power, logdet)
         assert best > ilrma_objective(power, 1.5 * power, logdet)
@@ -906,7 +905,7 @@ class TestSeparate:
         x = np.ascontiguousarray(mixture.data)
         cfg = SeparationConfig(method=method, outer_iters=3, seed=8)
         result = separate(dataclasses.replace(mixture, data=x), cfg)
-        np.testing.assert_array_equal(result.estimates.data, _demix(result.demixing, x))
+        np.testing.assert_array_equal(result.estimates.data, _demix(result.demixing, x).transpose(1, 0, 2))
 
     @pytest.mark.parametrize("method", ["ilrma", "sdilrma-kron"])
     def test_singular_demixing_rejected(self, method, monkeypatch):
@@ -914,7 +913,7 @@ class TestSeparate:
         # must stop the run before the objective or the next iteration
         mixture, _, _ = _speech_scene(duration=0.3)
 
-        def rank_deficient(demixing, data, variances, planes=None):
+        def rank_deficient(demixing, planes, variances):
             out = np.zeros_like(demixing)
             out[:, :, 0] = 1.0
             return out

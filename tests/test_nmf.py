@@ -141,13 +141,14 @@ class TestIsUpdate:
             is_update(init_nmf(5, 6, 2), np.ones((5, 6)), np.ones((6, 5)))
 
     def test_passed_variance_gives_the_same_bits(self):
-        # the variances as a caller holds them, rows of one stacked array;
-        # the last model's product sits below EPS everywhere, so it is floored
+        # the variances as a caller holds them, strided (F, T) slices of one
+        # (F, N, T) array; the last model's product sits below EPS
+        # everywhere, so it is floored
         rng = np.random.default_rng(10)
         models = [init_nmf(9, 11, 3, seed=s) for s in (1, 2)]
         models.append(NmfModel(np.zeros((9, 3)), np.zeros((3, 11))))
-        lam = np.stack([variance(m) for m in models])
-        for m, v in zip(models, lam):
+        lam = np.stack([variance(m) for m in models], axis=1)
+        for m, v in zip(models, lam.transpose(1, 0, 2)):
             p = rng.uniform(0.01, 4.0, (9, 11))
             got, want = is_update(m, p, v), is_update(m, p)
             np.testing.assert_array_equal(got.basis, want.basis)
