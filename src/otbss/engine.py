@@ -31,14 +31,7 @@ from .audio import Spectrogram, StftConfig
 from .errors import DemixingNumericError, FactorizationError, SinkhornNumericError
 from .kron import factorize_bins, factorized_kernel, kron_sum_cost
 from .nmf import EPS, NmfModel, init_nmf, is_update, variance
-from .sinkhorn import (
-    FrameMarginals,
-    SinkhornParams,
-    build_cost_sq,
-    compute_frame_marginals,
-    gibbs_kernel,
-    kl_mass,
-)
+from .sinkhorn import SinkhornParams, build_cost_sq, compute_frame_marginals, gibbs_kernel
 
 METHODS = ("ilrma", "sdilrma-dense", "sdilrma-kron")
 DET_REG = 1e-8
@@ -267,27 +260,6 @@ def ilrma_objective(power: np.ndarray, variances: np.ndarray, logdet: np.ndarray
     return -source_fit + 2.0 * n_frames * float(np.sum(logdet))
 
 
-def _transport_objective(
-    marg: FrameMarginals, power: np.ndarray, lam: np.ndarray, params: SinkhornParams
-) -> float:
-    """Relaxed transport objective summed over frames, plan never formed.
-
-    <P,C> + (1/mu) sum P log P collapses to
-    (1/mu) (<row, log u> + <col, log v> - mass) for a scaled-kernel
-    plan; the marginal KL penalties are added on top.
-    """
-    core = (
-        np.sum(marg.row * marg.log_u, axis=0)
-        + np.sum(marg.col * marg.log_v, axis=0)
-        - np.sum(marg.row, axis=0)
-    ) / params.mu
-    return float(
-        np.sum(core)
-        + params.gamma * kl_mass(marg.row, power, params.eps_floor)
-        + params.gamma * kl_mass(marg.col, lam, params.eps_floor)
-    )
-
-
 def back_project(estimates, demixing: np.ndarray, ref_mic: int):
     """Scale each source by its reference-mic mixing coefficient.
 
@@ -389,8 +361,9 @@ def separate(
                 where = None if err.context is None else divmod(err.context, n_frames)
                 msg = f"marginal computation failed at (source, frame) {where}: {err}"
                 raise SinkhornNumericError(msg, iteration=err.iteration, context=where) from err
-            objective = _transport_objective(cache, *batch, cfg.sinkhorn)
-            target = cache.row.reshape(lam.shape)
+            objective, target = cache.objective, cache.row.reshape(lam.shape)
+            # held into the next solve, the marginals would raise its peak
+            cache = cache._replace(row=None, col=None)
         else:
             target = power
         models = [is_update(m, target[:, n], lam[:, n]) for n, m in enumerate(models)]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, FactorizationError
+from .sinkhorn import floor_underflow
 
 MATERIALIZE_MAX_BINS = 1024
 
@@ -133,7 +134,8 @@ class FactorizedKernel:
         for f_q, g in zip(self.dims, self.kernels):
             y = np.matmul(g.T if transpose else g, y.reshape(lead, f_q, -1))
             lead *= f_q
-        return self.scale * y.reshape(x.shape)
+        y *= self.scale  # the last matmul's output is fresh: scale it in place
+        return y.reshape(x.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._apply_factors(x, transpose=False)
@@ -158,8 +160,8 @@ class FactorizedKernel:
 
 
 def factorized_kernel(cost: KroneckerCost, mu: float) -> FactorizedKernel:
-    """Per-factor kernels exp(-mu*C_q) with the global e^(-1) scale."""
+    """Per-factor kernels exp(-mu*C_q), floored as the dense kernel is, and the e^(-1) scale."""
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    kernels = tuple(np.exp(-mu * c) for c in cost.factors)
-    return FactorizedKernel(kernels=kernels, dims=cost.dims)
+    kernels = [floor_underflow(np.exp(-mu * c), "Kronecker kernel factor") for c in cost.factors]
+    return FactorizedKernel(kernels=tuple(kernels), dims=cost.dims)

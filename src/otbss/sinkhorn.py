@@ -23,7 +23,11 @@ Each column (frame) stops on its own, after the first TI step that
 moves its log scalings by less than ``tol``, or after ``max_iter``
 steps; later steps run on the frames still moving. Its marginals are
 those of the plan the truncated scalings define, not of the converged
-plan. The kernel is a dense array or a ``kron.FactorizedKernel``.
+plan, and it returns that plan's objective, formed from the logs it
+holds. Each log scaling is kept as a unit-peak array plus a per-frame
+peak vector. The kernel is a dense array or a ``kron.FactorizedKernel``;
+both builders floor underflowed entries, so every entry is positive
+and the solver needs no floor on its kernel products.
 """
 
 from __future__ import annotations
@@ -86,41 +90,40 @@ def build_cost_sq(n_bins: int) -> np.ndarray:
     return ((idx[:, None] - idx[None, :]) / n_bins) ** 2
 
 
-def gibbs_kernel(cost: np.ndarray, mu: float) -> np.ndarray:
-    """Elementwise exp(-mu*C - 1), floored where it underflows to zero."""
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
-    kernel = np.exp(-mu * np.asarray(cost, dtype=np.float64) - 1.0)
+def floor_underflow(kernel: np.ndarray, name: str) -> np.ndarray:
+    """Both kernel builders' underflow rule: exact zeros become EPS_FLOOR, with a warning."""
     zeros = kernel == 0.0
     if np.any(zeros):
         warnings.warn(
-            "Gibbs kernel underflowed to zero for the largest costs; "
+            f"{name} underflowed to zero for the largest costs; "
             "flooring (mu is very large for this cost scale)",
-            stacklevel=2,
+            stacklevel=3,
         )
         kernel[zeros] = EPS_FLOOR
     return kernel
 
 
-def kl_mass(x: np.ndarray, y: np.ndarray, eps: float = EPS_FLOOR) -> float:
-    """Unnormalized KL divergence sum(x log(x/y) - x + y)."""
-    x = np.maximum(np.asarray(x, dtype=np.float64), eps)
-    y = np.maximum(np.asarray(y, dtype=np.float64), eps)
-    return float(np.sum(x * np.log(x / y) - x + y))
+def gibbs_kernel(cost: np.ndarray, mu: float) -> np.ndarray:
+    """Elementwise exp(-mu*C - 1), floored where it underflows to zero."""
+    if mu < 0:
+        raise ValueError("mu must be nonnegative")
+    return floor_underflow(np.exp(-mu * np.asarray(cost, dtype=np.float64) - 1.0), "Gibbs kernel")
 
 
 class FrameMarginals(NamedTuple):
-    """Per-frame transport marginals and their log scalings.
+    """Per-frame transport marginals, their log scalings and the objective.
 
     Each frame's scalings are warm-started and truncated at its first
     TI step below ``tol`` or after ``max_iter`` steps; the marginals
-    are those of the plan they define.
+    are those of the plan they define, and ``objective`` is that plan's
+    relaxed transport objective summed over frames.
     """
 
     row: np.ndarray
     col: np.ndarray
     log_u: np.ndarray
     log_v: np.ndarray
+    objective: float
 
 
 def _apply(kernel, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -129,11 +132,24 @@ def _apply(kernel, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return kernel.T @ x if adjoint else kernel @ x
 
 
-def _peak_exp(log_x: np.ndarray):
-    """exp(log_x) per column as unit-peak values times exp(peak)."""
-    peak = np.max(log_x, axis=0)
-    scaled = log_x - peak
-    return np.exp(scaled, out=scaled), peak
+def _unit_peak(log_prod: np.ndarray, log_target: np.ndarray, phi: float):
+    """phi * (log_target - log_prod), in place, as a unit-peak log (a 0 per column) and peaks."""
+    np.subtract(log_target, log_prod, out=log_prod)
+    top = np.max(log_prod, axis=0)
+    log_prod -= top
+    log_prod *= phi
+    return log_prod, phi * top
+
+
+def _marginal(log_prod, peak, log_scaling, log_target):
+    """x = exp(log_prod + peak + log_scaling), and <x, log_scaling>, <x, log(x/target)>, sum x.
+
+    As Python floats, sums past the double range read inf without a warning."""
+    log_prod += peak
+    log_prod += log_scaling
+    x = np.exp(log_prod)
+    log_prod -= log_target
+    return x, [float(s) for s in (np.vdot(x, log_scaling), np.vdot(x, log_prod), np.sum(x))]
 
 
 def _non_finite(iteration: int, bad: np.ndarray, frames: np.ndarray) -> SinkhornNumericError:
@@ -145,13 +161,16 @@ def _non_finite(iteration: int, bad: np.ndarray, frames: np.ndarray) -> Sinkhorn
     return SinkhornNumericError("non-finite log scalings in marginal computation", iteration, frame)
 
 
-def _column_moves(cols: np.ndarray, *pairs) -> np.ndarray:
-    """max |x - y| down each listed column, over all the (x, y) pairs."""
+def _moves(cols: np.ndarray, *states) -> np.ndarray:
+    """max |x - y + shift| down each listed column, over the (x, y, shift) states.
+
+    x and y are (F, n) logs, shift a per-column vector."""
     moves = []
-    for x, y in pairs:
+    for x, y, shift in states:
         diff = x[:, cols]
         diff -= y[:, cols]
-        moves.append(np.max(np.abs(diff, out=diff), axis=0))
+        shift = shift[cols]
+        moves += [np.max(diff, axis=0) + shift, -(np.min(diff, axis=0) + shift)]
     return np.maximum.reduce(moves)
 
 
@@ -180,6 +199,12 @@ def compute_frame_marginals(
     range, so only the logs are kept. The result is warm-started from
     ``init`` (a previous call's scalings).
 
+    Each log scaling is a unit-peak (F, n) array plus an (n,) peak vector
+    that takes every per-column term, such as the TI shift; a half-step
+    makes a log, an exp, three arithmetic passes and two reductions over
+    (F, n) arrays besides its apply. With a 1 in every unit-peak column, a
+    product entry is at least a kernel entry, positive: no floor is needed.
+
     Each frame (column) stops on its own: after the first step that
     moves none of its log scalings by ``tol``, or after ``max_iter``
     steps. As |max x - max y| <= max |x - y|, a frame's peak log
@@ -192,24 +217,24 @@ def compute_frame_marginals(
     the row marginal takes one more apply of the full batch. A call
     makes at most 2*max_iter + 1 applies, however many columns each
     one covers, and fewer only when every frame stops early.
+
+    ``objective`` is the relaxed objective of the plan diag(u) G diag(v)
+    summed over frames, from dot products of the marginals with the logs
+    held: <P,C> + (1/mu) sum P log P = (1/mu)(<row, log u> + <col, log v> - sum row).
     """
-    log_a, log_b = (
-        np.log(np.maximum(np.asarray(x, dtype=np.float64), params.eps_floor))
-        for x in (power, variances)
-    )
-    if log_a.shape != log_b.shape:
+    a, b = (np.maximum(np.asarray(x, dtype=float), params.eps_floor) for x in (power, variances))
+    if a.shape != b.shape:
         raise ValueError("power and variance shapes differ")
-    if log_a.ndim != 2:
+    if a.ndim != 2:
         raise ValueError("expected (n_bins, n_frames) power and variances")
+    mass = float(np.sum(a) + np.sum(b))  # the KL terms' constant
+    # full width to the end, for the objective; the loop narrows copies
+    full_a, full_b = log_a, log_b = np.log(a, out=a), np.log(b, out=b)
     phi = params.marginal_exponent
     gm = params.gamma * params.mu
-    tiny = np.finfo(np.float64).tiny
-    if init is None:
-        log_u = np.zeros_like(log_a)
-        log_v = np.zeros_like(log_b)
-    else:
-        log_u = np.asarray(init.log_u, dtype=np.float64)
-        log_v = np.asarray(init.log_v, dtype=np.float64)
+    if init is None:  # the cold start: all-zero log scalings
+        init = FrameMarginals(None, None, np.zeros_like(log_a), np.zeros_like(log_b), None)
+    log_u, log_v = (np.asarray(x, dtype=float) for x in (init.log_u, init.log_v))
     n_frames = log_a.shape[1]
     frames = np.arange(n_frames)  # the frame of each column of the batch
     stopped = np.zeros(n_frames, dtype=bool)
@@ -220,51 +245,47 @@ def compute_frame_marginals(
     bad = ~(np.isfinite(peak_u) & np.isfinite(np.min(log_u, axis=0)))
     if np.any(bad):
         raise _non_finite(0, bad, frames)
-    exp_v, peak_v = _peak_exp(log_v)
+    peak_v = np.max(log_v, axis=0)
+    exp_v = np.exp(log_v - peak_v)
     # a warm start's v belongs to the previous b: form its sum directly
-    terms_b, peak_b = _peak_exp(log_b - log_v / gm)
-    log_mass_b = np.log(np.sum(terms_b, axis=0)) + peak_b
+    terms_b = log_b - log_v / gm
+    peak_b = np.max(terms_b, axis=0)
+    log_mass_b = np.log(np.sum(np.exp(terms_b - peak_b), axis=0)) + peak_b
+    del terms_b
     out = None  # full-width final state, once a frame has stopped
     for it in range(params.max_iter):
         gv = _apply(kernel, exp_v)
-        np.maximum(gv, tiny, out=gv)
-        new_u = np.log(gv)
-        np.subtract(log_a, new_u, out=new_u)
-        new_u -= peak_v
-        new_u *= phi
-        exp_u, new_peak_u = _peak_exp(new_u)
-        gv *= exp_u
-        log_mass_a = np.log(np.sum(gv, axis=0)) + new_peak_u + peak_v
-        del gv  # dead arrays held into the next step raise the peak memory
-        shift = 0.5 * gm * (log_mass_a - log_mass_b)
-        new_u += shift
-        new_peak_u += shift
+        del exp_v  # dead arrays held into the next step raise the peak memory
+        new_u, new_peak_u = _unit_peak(np.log(gv), log_a, phi)
+        new_peak_u -= phi * peak_v
+        exp_u = np.exp(new_u)
+        log_mass_a = np.log(np.einsum("ij,ij->j", gv, exp_u)) + new_peak_u + peak_v
+        del gv
+        new_peak_u += 0.5 * gm * (log_mass_a - log_mass_b)  # the TI shift
         gu = _apply(kernel, exp_u, adjoint=True)
         del exp_u
-        np.maximum(gu, tiny, out=gu)
-        log_gu = np.log(gu)
-        new_v = np.subtract(log_b, log_gu)
-        new_v -= new_peak_u
-        new_v *= phi
-        exp_v, new_peak_v = _peak_exp(new_v)
-        gu *= exp_v
-        log_mass_b = np.log(np.sum(gu, axis=0)) + new_peak_v + new_peak_u
-        del gu
+        new_v, new_peak_v = _unit_peak(np.log(gu), log_b, phi)
+        new_peak_v -= phi * new_peak_u
+        exp_v = np.exp(new_v)
+        log_mass_b = np.log(np.einsum("ij,ij->j", gu, exp_v)) + new_peak_v + new_peak_u
         bad = ~(np.isfinite(new_peak_u) & np.isfinite(new_peak_v) | stopped)
         if np.any(bad):
             raise _non_finite(it, bad, frames)
-        bound = np.maximum(np.abs(new_peak_u - peak_u), np.abs(new_peak_v - peak_v))
+        step_u, step_v = new_peak_u - peak_u, new_peak_v - peak_v
+        bound = np.maximum(np.abs(step_u), np.abs(step_v))
         near = np.flatnonzero((bound < params.tol) & ~stopped)
         if near.size:
-            near = near[_column_moves(near, (new_u, log_u), (new_v, log_v)) < params.tol]
+            if not it:  # a warm start's logs are full, not unit-peak: their offsets are 0
+                step_u, step_v = new_peak_u, new_peak_v
+            near = near[_moves(near, (new_u, log_u, step_u), (new_v, log_v, step_v)) < params.tol]
         log_u, log_v, peak_u, peak_v = new_u, new_v, new_peak_u, new_peak_v
         if not near.size:
             continue
         if out is None:
-            out = [log_u, log_v, log_gu]  # still full width, in frame order
+            out = [log_u, log_v, gu, peak_u, peak_v]  # still full width, in frame order
         else:
-            for o, x in zip(out, (log_u, log_v, log_gu)):
-                o[:, frames[near]] = x[:, near]
+            for o, x in zip(out, (log_u, log_v, gu, peak_u, peak_v)):
+                o[..., frames[near]] = x[..., near]
         stopped[near] = True
         n_live = stopped.size - np.count_nonzero(stopped)
         if n_live == 0:
@@ -273,27 +294,31 @@ def compute_frame_marginals(
         if width < stopped.size and it + 1 < params.max_iter:
             # the running frames, padded with stopped ones to the width
             keep = np.sort(np.argsort(stopped, kind="stable")[:width])
-            # one array at a time, so each old width is freed in turn
-            log_a = log_a[:, keep]
-            log_b = log_b[:, keep]
-            log_u = log_u[:, keep]
-            log_v = log_v[:, keep]
-            exp_v = exp_v[:, keep]
+            # one at a time, each old width freed in turn; take keeps C order
+            log_a = np.take(log_a, keep, axis=1)
+            log_b = np.take(log_b, keep, axis=1)
+            log_u = np.take(log_u, keep, axis=1)
+            log_v = np.take(log_v, keep, axis=1)
+            exp_v = np.take(exp_v, keep, axis=1)
             peak_u, peak_v, log_mass_b, frames, stopped = (
                 x[keep] for x in (peak_u, peak_v, log_mass_b, frames, stopped)
             )
     if out is not None:
         live = np.flatnonzero(~stopped)
-        for o, x in zip(out, (log_u, log_v, log_gu)):
-            o[:, frames[live]] = x[:, live]
-        log_u, log_v, log_gu = out
-        # each frame's peaks and unit-peak v, as its last step formed them
-        peak_u = np.max(log_u, axis=0)
-        exp_v, peak_v = _peak_exp(log_v)
+        for o, x in zip(out, (log_u, log_v, gu, peak_u, peak_v)):
+            o[..., frames[live]] = x[..., live]
+        log_u, log_v, gu, peak_u, peak_v = out
+        # each frame's unit-peak v, as its last step formed it
+        exp_v = np.exp(log_v)
     # log-domain marginals: only the per-frame peaks carry huge magnitudes
-    row = np.log(np.maximum(_apply(kernel, exp_v), tiny))
-    row += peak_v
-    row += log_u
-    log_gu += peak_u
-    log_gu += log_v
-    return FrameMarginals(np.exp(row, out=row), np.exp(log_gu, out=log_gu), log_u, log_v)
+    log_gv = np.log(_apply(kernel, exp_v))
+    del exp_v
+    log_u += peak_u
+    log_v += peak_v
+    row, (row_u, row_kl, row_mass) = _marginal(log_gv, peak_v, log_u, full_a)
+    del log_gv, log_a, full_a
+    col, (col_v, col_kl, col_mass) = _marginal(np.log(gu, out=gu), peak_u, log_v, full_b)
+    objective = (row_u + col_v - row_mass) / params.mu + params.gamma * (
+        row_kl - row_mass + col_kl - col_mass + mass
+    )
+    return FrameMarginals(row, col, log_u, log_v, objective)

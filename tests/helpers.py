@@ -13,7 +13,7 @@ from scipy.linalg import toeplitz
 from scipy.signal import get_window
 from scipy.special import logsumexp, xlogy
 
-from otbss.errors import CapabilityError
+from otbss.errors import CapabilityError, SinkhornNumericError
 from otbss.kron import MATERIALIZE_MAX_BINS
 from otbss.metrics import _db
 from otbss.nmf import EPS
@@ -23,6 +23,7 @@ from otbss.roomsim import (
     SPEED_OF_SOUND,
     sabine_absorption,
 )
+from otbss.sinkhorn import EPS_FLOOR
 
 ACCEPTANCE_VERDICTS = []
 
@@ -205,6 +206,154 @@ def dense_plan_objective(plan, a, b, cost, params) -> float:
     row, col = plan.sum(axis=1), plan.sum(axis=0)
     kl = np.sum(xlogy(row, row / a) - row + a) + np.sum(xlogy(col, col / b) - col + b)
     return float(np.sum(plan * cost) + np.sum(xlogy(plan, plan)) / params.mu + params.gamma * kl)
+
+
+def kl_mass(x: np.ndarray, y: np.ndarray, eps: float = EPS_FLOOR) -> float:
+    """Unnormalized KL divergence sum(x log(x/y) - x + y), both floored at ``eps``."""
+    x = np.maximum(np.asarray(x, dtype=np.float64), eps)
+    y = np.maximum(np.asarray(y, dtype=np.float64), eps)
+    return float(np.sum(x * np.log(x / y) - x + y))
+
+
+def transport_objective(marg, power, lam, params) -> float:
+    """Relaxed transport objective of (F, T) marginals and scalings, summed over frames.
+
+    <P,C> + (1/mu) sum P log P collapses to
+    (1/mu) (<row, log u> + <col, log v> - mass) for a scaled-kernel
+    plan; the marginal KL penalties are added on top. The plan is never
+    formed.
+    """
+    core = (
+        np.sum(marg.row * marg.log_u, axis=0)
+        + np.sum(marg.col * marg.log_v, axis=0)
+        - np.sum(marg.row, axis=0)
+    ) / params.mu
+    return float(
+        np.sum(core)
+        + params.gamma * kl_mass(marg.row, power, params.eps_floor)
+        + params.gamma * kl_mass(marg.col, lam, params.eps_floor)
+    )
+
+
+def _reference_apply(kernel, x, adjoint=False):
+    if hasattr(kernel, "apply"):
+        return kernel.apply_adjoint(x) if adjoint else kernel.apply(x)
+    return kernel.T @ x if adjoint else kernel @ x
+
+
+def _reference_peak_exp(log_x):
+    peak = np.max(log_x, axis=0)
+    scaled = log_x - peak
+    return np.exp(scaled, out=scaled), peak
+
+
+def _reference_column_moves(cols, *pairs):
+    moves = []
+    for x, y in pairs:
+        diff = x[:, cols]
+        diff -= y[:, cols]
+        moves.append(np.max(np.abs(diff, out=diff), axis=0))
+    return np.maximum.reduce(moves)
+
+
+def reference_frame_marginals(power, variances, kernel, params, init=None):
+    """(row, col, log_u, log_v) of the TI solve, full (F, n) log arrays at every step.
+
+    The solver as it was before it kept unit-peak logs and per-column
+    peak vectors: each half-step forms the full log scaling, guards
+    every kernel product with ``max(., tiny)``, and the objective is
+    left to ``transport_objective``. Same steps, per-frame ``tol``,
+    ``max_iter`` and narrowing in blocks of 1/8 of the batch; only
+    rounding differs. ``init`` is any object with ``log_u`` and
+    ``log_v``.
+    """
+    log_a, log_b = (
+        np.log(np.maximum(np.asarray(x, dtype=np.float64), params.eps_floor))
+        for x in (power, variances)
+    )
+    phi = params.marginal_exponent
+    gm = params.gamma * params.mu
+    tiny = np.finfo(np.float64).tiny
+    if init is None:
+        log_u = np.zeros_like(log_a)
+        log_v = np.zeros_like(log_b)
+    else:
+        log_u = np.asarray(init.log_u, dtype=np.float64)
+        log_v = np.asarray(init.log_v, dtype=np.float64)
+    n_frames = log_a.shape[1]
+    frames = np.arange(n_frames)
+    stopped = np.zeros(n_frames, dtype=bool)
+    block = -(-n_frames // 8)
+    peak_u = np.max(log_u, axis=0)
+    bad = ~(np.isfinite(peak_u) & np.isfinite(np.min(log_u, axis=0)))
+    if np.any(bad):
+        raise SinkhornNumericError("non-finite log scalings", 0, int(frames[np.flatnonzero(bad)[0]]))
+    exp_v, peak_v = _reference_peak_exp(log_v)
+    terms_b, peak_b = _reference_peak_exp(log_b - log_v / gm)
+    log_mass_b = np.log(np.sum(terms_b, axis=0)) + peak_b
+    out = None
+    for it in range(params.max_iter):
+        gv = _reference_apply(kernel, exp_v)
+        np.maximum(gv, tiny, out=gv)
+        new_u = np.log(gv)
+        np.subtract(log_a, new_u, out=new_u)
+        new_u -= peak_v
+        new_u *= phi
+        exp_u, new_peak_u = _reference_peak_exp(new_u)
+        gv *= exp_u
+        log_mass_a = np.log(np.sum(gv, axis=0)) + new_peak_u + peak_v
+        shift = 0.5 * gm * (log_mass_a - log_mass_b)
+        new_u += shift
+        new_peak_u += shift
+        gu = _reference_apply(kernel, exp_u, adjoint=True)
+        np.maximum(gu, tiny, out=gu)
+        log_gu = np.log(gu)
+        new_v = np.subtract(log_b, log_gu)
+        new_v -= new_peak_u
+        new_v *= phi
+        exp_v, new_peak_v = _reference_peak_exp(new_v)
+        gu *= exp_v
+        log_mass_b = np.log(np.sum(gu, axis=0)) + new_peak_v + new_peak_u
+        bad = ~(np.isfinite(new_peak_u) & np.isfinite(new_peak_v) | stopped)
+        if np.any(bad):
+            raise SinkhornNumericError("non-finite log scalings", it, int(frames[np.flatnonzero(bad)[0]]))
+        bound = np.maximum(np.abs(new_peak_u - peak_u), np.abs(new_peak_v - peak_v))
+        near = np.flatnonzero((bound < params.tol) & ~stopped)
+        if near.size:
+            moves = _reference_column_moves(near, (new_u, log_u), (new_v, log_v))
+            near = near[moves < params.tol]
+        log_u, log_v, peak_u, peak_v = new_u, new_v, new_peak_u, new_peak_v
+        if not near.size:
+            continue
+        if out is None:
+            out = [log_u, log_v, log_gu]
+        else:
+            for o, x in zip(out, (log_u, log_v, log_gu)):
+                o[:, frames[near]] = x[:, near]
+        stopped[near] = True
+        n_live = stopped.size - np.count_nonzero(stopped)
+        if n_live == 0:
+            break
+        width = block * -(-n_live // block)
+        if width < stopped.size and it + 1 < params.max_iter:
+            keep = np.sort(np.argsort(stopped, kind="stable")[:width])
+            log_a, log_b, log_u, log_v, exp_v = (x[:, keep] for x in (log_a, log_b, log_u, log_v, exp_v))
+            peak_u, peak_v, log_mass_b, frames, stopped = (
+                x[keep] for x in (peak_u, peak_v, log_mass_b, frames, stopped)
+            )
+    if out is not None:
+        live = np.flatnonzero(~stopped)
+        for o, x in zip(out, (log_u, log_v, log_gu)):
+            o[:, frames[live]] = x[:, live]
+        log_u, log_v, log_gu = out
+        peak_u = np.max(log_u, axis=0)
+        exp_v, peak_v = _reference_peak_exp(log_v)
+    row = np.log(np.maximum(_reference_apply(kernel, exp_v), tiny))
+    row += peak_v
+    row += log_u
+    log_gu += peak_u
+    log_gu += log_v
+    return np.exp(row), np.exp(log_gu), log_u, log_v
 
 
 def reference_sdr_sir_scores(est, refs, flen):

@@ -205,6 +205,18 @@ class TestKernelApply:
         dense = np.exp(-1.0) * np.kron(np.kron(k.kernels[0], k.kernels[1]), k.kernels[2])
         np.testing.assert_allclose(k.apply(v), dense @ v, rtol=1e-12)
 
+    @pytest.mark.parametrize("dims", [(9,), (3, 4), (2, 3, 4)])
+    def test_scale_applied_in_place_is_the_scaled_product(self, dims):
+        # bit for bit scale * (unscaled product), input left as it was
+        rng = np.random.default_rng(9)
+        k = _random_kernel(dims)
+        unscaled = FactorizedKernel(kernels=k.kernels, dims=k.dims, scale=1.0)
+        for x in (rng.uniform(0.1, 1.0, k.n_bins), rng.uniform(0.1, 1.0, (k.n_bins, 5))):
+            before = x.copy()
+            for apply, plain in ((k.apply, unscaled.apply), (k.apply_adjoint, unscaled.apply_adjoint)):
+                np.testing.assert_array_equal(apply(x), k.scale * plain(x))
+            np.testing.assert_array_equal(x, before)
+
     def test_zero_vector_maps_to_zero(self):
         k = _random_kernel((3, 4))
         np.testing.assert_array_equal(k.apply(np.zeros(12)), np.zeros(12))

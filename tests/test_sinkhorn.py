@@ -5,13 +5,15 @@ by explicit loops, a Nelder-Mead minimization of the relaxed objective
 over the plan entries, and the classic balanced Sinkhorn limit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from helpers import dense_plan, dense_plan_objective
-from otbss.engine import _transport_objective
+from helpers import dense_plan, dense_plan_objective, kl_mass
 from otbss.errors import SinkhornNumericError
+from otbss.kron import factorize_bins, factorized_kernel, kron_sum_cost
 from otbss.sinkhorn import (
     EPS_FLOOR,
     FrameMarginals,
@@ -19,14 +21,13 @@ from otbss.sinkhorn import (
     build_cost_sq,
     compute_frame_marginals,
     gibbs_kernel,
-    kl_mass,
 )
 
 
 def _solve(a, b, kernel, params, init=None):
     """One-frame solve: (F,) masses in, (F,) marginals and log scalings out."""
     marg = compute_frame_marginals(a[:, None], b[:, None], kernel, params, init=init)
-    return FrameMarginals(*(x[:, 0] for x in marg))
+    return FrameMarginals(*(x[:, 0] for x in marg[:4]), marg.objective)
 
 
 def _minimize_plan(a, b, cost, params, x0):
@@ -87,6 +88,45 @@ class TestGibbsKernel:
         with pytest.warns(UserWarning):
             G = gibbs_kernel(C, mu=4000.0)  # e^(-1001) underflows
         assert G[0, 1] == EPS_FLOOR
+
+
+class TestKernelUnderflow:
+    """One rule for both builders: exact zeros are floored, with a warning."""
+
+    @staticmethod
+    def _build(backend, n_bins, mu):
+        if backend == "kron":
+            return factorized_kernel(kron_sum_cost(factorize_bins(n_bins, 2)), mu)
+        return gibbs_kernel(build_cost_sq(n_bins), mu)
+
+    @pytest.mark.parametrize("backend", ["dense", "kron"])
+    @pytest.mark.parametrize("mu", [1000.0, 3000.0])
+    def test_large_mu_floors_zeros_and_solves(self, backend, mu):
+        # F = 513 is the reference scene's bin count, split 27 x 19
+        n_bins = 513
+        with pytest.warns(UserWarning, match="underflowed"):
+            kernel = self._build(backend, n_bins, mu)
+        entries = kernel.kernels if backend == "kron" else (kernel,)
+        assert all(np.all(g > 0) for g in entries)
+        if backend == "kron":
+            assert np.any(entries[0] == EPS_FLOOR)
+            assert np.all(kernel.materialize() > 0)
+        rng = np.random.default_rng(14)
+        a = rng.uniform(1e-3, 10.0, size=(n_bins, 4))
+        b = rng.uniform(1e-3, 10.0, size=(n_bins, 4))
+        marg = compute_frame_marginals(a, b, kernel, SinkhornParams(mu=mu, max_iter=10, tol=1e-300))
+        for x in marg:
+            assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize("backend", ["dense", "kron"])
+    def test_default_mu_builds_silently(self, backend):
+        # no entry underflows at the default mu, so the floor moves none,
+        # not even those below it (about 2e-44 dense, 5.6e-41 per factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel = self._build(backend, 513, SinkhornParams().mu)
+        entries = kernel.kernels if backend == "kron" else (kernel,)
+        assert 0 < min(np.min(g) for g in entries) < EPS_FLOOR
 
 
 class TestParams:
@@ -167,10 +207,13 @@ class TestScalings:
         p = SinkhornParams(max_iter=300, tol=1e-300)
         G = gibbs_kernel(build_cost_sq(F), p.mu)
         batched = compute_frame_marginals(a, b, G, p)
+        objectives = []
         for t in range(T):
             alone = _solve(a[:, t], b[:, t], G, p)
-            for got, want in zip(batched, alone):
+            for got, want in zip(batched[:4], alone[:4]):
                 np.testing.assert_allclose(got[:, t], want, rtol=1e-12, atol=1e-12)
+            objectives.append(alone.objective)
+        assert batched.objective == pytest.approx(sum(objectives), rel=1e-12)
 
     def test_warm_start_converges_to_same_point(self):
         # once converged, a warm restart must stay put
@@ -281,11 +324,10 @@ class TestTransportSummary:
         marg = compute_frame_marginals(a[:, None], a[:, None], G, p)
         plan = dense_plan(marg.log_u[:, 0], G, marg.log_v[:, 0])
         neg_entropy_over_mu = np.sum(plan * np.log(plan)) / p.mu
-        val = _transport_objective(marg, a[:, None], a[:, None], p)
-        assert val == pytest.approx(neg_entropy_over_mu, rel=1e-8)
+        assert marg.objective == pytest.approx(neg_entropy_over_mu, rel=1e-8)
 
     def test_matrix_free_objective_identity(self):
-        # the objective from scalings and marginals alone must equal the
+        # the objective the solver forms from its logs must equal the
         # dense evaluation on the assembled plan
         rng = np.random.default_rng(10)
         F = 12
@@ -297,7 +339,7 @@ class TestTransportSummary:
         marg = compute_frame_marginals(a[:, None], b[:, None], G, p)
         plan = dense_plan(marg.log_u[:, 0], G, marg.log_v[:, 0])
         dense = dense_plan_objective(plan, a, b, C, p)
-        assert _transport_objective(marg, a[:, None], b[:, None], p) == pytest.approx(dense, rel=1e-10)
+        assert marg.objective == pytest.approx(dense, rel=1e-10)
 
 
 class TestDivergence:
@@ -313,8 +355,7 @@ class TestDivergence:
         marg = compute_frame_marginals(a[:, None], b[:, None], G, p)
         start = dense_plan(marg.log_u[:, 0], G, marg.log_v[:, 0])
         _, brute_val = _minimize_plan(a, b, C, p, start)
-        ours = _transport_objective(marg, a[:, None], b[:, None], p)
-        assert ours == pytest.approx(brute_val, rel=1e-8)
+        assert marg.objective == pytest.approx(brute_val, rel=1e-8)
 
     def test_gamma_monotone_penalty_on_mismatched_masses(self):
         rng = np.random.default_rng(12)
