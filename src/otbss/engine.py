@@ -260,6 +260,11 @@ def ilrma_objective(power: np.ndarray, variances: np.ndarray, logdet: np.ndarray
     return -source_fit + 2.0 * n_frames * float(np.sum(logdet))
 
 
+def _transport_objective(marg) -> float:
+    """SDILRMA's objective, that of its transport solve, which the solver forms from its own logs."""
+    return marg.objective
+
+
 def back_project(estimates, demixing: np.ndarray, ref_mic: int):
     """Scale each source by its reference-mic mixing coefficient.
 
@@ -361,7 +366,7 @@ def separate(
                 where = None if err.context is None else divmod(err.context, n_frames)
                 msg = f"marginal computation failed at (source, frame) {where}: {err}"
                 raise SinkhornNumericError(msg, iteration=err.iteration, context=where) from err
-            objective, target = cache.objective, cache.row.reshape(lam.shape)
+            objective, target = _transport_objective(cache), cache.row.reshape(lam.shape)
             # held into the next solve, the marginals would raise its peak
             cache = cache._replace(row=None, col=None)
         else:

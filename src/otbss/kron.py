@@ -163,5 +163,7 @@ def factorized_kernel(cost: KroneckerCost, mu: float) -> FactorizedKernel:
     """Per-factor kernels exp(-mu*C_q), floored as the dense kernel is, and the e^(-1) scale."""
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    kernels = [floor_underflow(np.exp(-mu * c), "Kronecker kernel factor") for c in cost.factors]
+    kernels = []
+    for c in cost.factors:  # not a comprehension, whose frame the warning would name
+        kernels.append(floor_underflow(np.exp(-mu * c), "Kronecker kernel factor"))
     return FactorizedKernel(kernels=tuple(kernels), dims=cost.dims)

@@ -113,17 +113,16 @@ def gibbs_kernel(cost: np.ndarray, mu: float) -> np.ndarray:
 class FrameMarginals(NamedTuple):
     """Per-frame transport marginals, their log scalings and the objective.
 
-    Each frame's scalings are warm-started and truncated at its first
-    TI step below ``tol`` or after ``max_iter`` steps; the marginals
-    are those of the plan they define, and ``objective`` is that plan's
-    relaxed transport objective summed over frames.
+    Each frame's scalings are truncated at its first TI step below ``tol``
+    or after ``max_iter`` steps; the marginals are those of the plan they
+    define, and ``objective`` is that plan's, summed over frames.
     """
 
     row: np.ndarray
     col: np.ndarray
     log_u: np.ndarray
     log_v: np.ndarray
-    objective: float
+    objective: float = None
 
 
 def _apply(kernel, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -142,9 +141,7 @@ def _unit_peak(log_prod: np.ndarray, log_target: np.ndarray, phi: float):
 
 
 def _marginal(log_prod, peak, log_scaling, log_target):
-    """x = exp(log_prod + peak + log_scaling), and <x, log_scaling>, <x, log(x/target)>, sum x.
-
-    As Python floats, sums past the double range read inf without a warning."""
+    """x = exp(log_prod + peak + log_scaling), and <x, log_scaling>, <x, log(x/target)>, sum x."""
     log_prod += peak
     log_prod += log_scaling
     x = np.exp(log_prod)
@@ -153,18 +150,13 @@ def _marginal(log_prod, peak, log_scaling, log_target):
 
 
 def _non_finite(iteration: int, bad: np.ndarray, frames: np.ndarray) -> SinkhornNumericError:
-    """The error naming the frame of the first column flagged ``bad``.
-
-    ``frames`` maps the flagged columns back to the caller's frames.
-    """
+    """The error naming the frame (``frames`` maps columns to them) of the first ``bad`` column."""
     frame = int(frames[np.flatnonzero(bad)[0]])
     return SinkhornNumericError("non-finite log scalings in marginal computation", iteration, frame)
 
 
 def _moves(cols: np.ndarray, *states) -> np.ndarray:
-    """max |x - y + shift| down each listed column, over the (x, y, shift) states.
-
-    x and y are (F, n) logs, shift a per-column vector."""
+    """max |x - y + shift| per listed column, over the (x, y, shift) states; shift is per column."""
     moves = []
     for x, y, shift in states:
         diff = x[:, cols]
@@ -221,19 +213,20 @@ def compute_frame_marginals(
     ``objective`` is the relaxed objective of the plan diag(u) G diag(v)
     summed over frames, from dot products of the marginals with the logs
     held: <P,C> + (1/mu) sum P log P = (1/mu)(<row, log u> + <col, log v> - sum row).
+    The KL terms are differences of such whole-array sums, so its error is
+    a few ulps of the total mass sum(a) + sum(b), and past the double range
+    it reads inf without a warning.
     """
     a, b = (np.maximum(np.asarray(x, dtype=float), params.eps_floor) for x in (power, variances))
-    if a.shape != b.shape:
-        raise ValueError("power and variance shapes differ")
-    if a.ndim != 2:
-        raise ValueError("expected (n_bins, n_frames) power and variances")
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError("expected power and variances of one (n_bins, n_frames) shape")
     mass = float(np.sum(a) + np.sum(b))  # the KL terms' constant
     # full width to the end, for the objective; the loop narrows copies
     full_a, full_b = log_a, log_b = np.log(a, out=a), np.log(b, out=b)
     phi = params.marginal_exponent
     gm = params.gamma * params.mu
     if init is None:  # the cold start: all-zero log scalings
-        init = FrameMarginals(None, None, np.zeros_like(log_a), np.zeros_like(log_b), None)
+        init = FrameMarginals(None, None, np.zeros_like(log_a), np.zeros_like(log_b))
     log_u, log_v = (np.asarray(x, dtype=float) for x in (init.log_u, init.log_v))
     n_frames = log_a.shape[1]
     frames = np.arange(n_frames)  # the frame of each column of the batch

@@ -104,8 +104,10 @@ class TestKernelUnderflow:
     def test_large_mu_floors_zeros_and_solves(self, backend, mu):
         # F = 513 is the reference scene's bin count, split 27 x 19
         n_bins = 513
-        with pytest.warns(UserWarning, match="underflowed"):
+        with pytest.warns(UserWarning, match="underflowed") as record:
             kernel = self._build(backend, n_bins, mu)
+        # both builders name their caller, as warnings.warn's stacklevel should
+        assert {w.filename for w in record} == {__file__}
         entries = kernel.kernels if backend == "kron" else (kernel,)
         assert all(np.all(g > 0) for g in entries)
         if backend == "kron":
