@@ -26,8 +26,9 @@ those of the plan the truncated scalings define, not of the converged
 plan, and it returns that plan's objective, formed from the logs it
 holds. Each log scaling is kept as a unit-peak array plus a per-frame
 peak vector. The kernel is a dense array or a ``kron.FactorizedKernel``;
-both builders floor underflowed entries, so every entry is positive
-and the solver needs no floor on its kernel products.
+the solver applies either with ``@`` and its ``.T`` alone. Both
+builders floor underflowed entries, so every entry is positive and the
+solver needs no floor on its kernel products.
 """
 
 from __future__ import annotations
@@ -122,13 +123,7 @@ class FrameMarginals(NamedTuple):
     col: np.ndarray
     log_u: np.ndarray
     log_v: np.ndarray
-    objective: float = None
-
-
-def _apply(kernel, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    if hasattr(kernel, "apply"):
-        return kernel.apply_adjoint(x) if adjoint else kernel.apply(x)
-    return kernel.T @ x if adjoint else kernel @ x
+    objective: float | None = None
 
 
 def _unit_peak(log_prod: np.ndarray, log_target: np.ndarray, phi: float):
@@ -246,8 +241,9 @@ def compute_frame_marginals(
     log_mass_b = np.log(np.sum(np.exp(terms_b - peak_b), axis=0)) + peak_b
     del terms_b
     out = None  # full-width final state, once a frame has stopped
+    kernel_t = kernel.T
     for it in range(params.max_iter):
-        gv = _apply(kernel, exp_v)
+        gv = kernel @ exp_v
         del exp_v  # dead arrays held into the next step raise the peak memory
         new_u, new_peak_u = _unit_peak(np.log(gv), log_a, phi)
         new_peak_u -= phi * peak_v
@@ -255,7 +251,7 @@ def compute_frame_marginals(
         log_mass_a = np.log(np.einsum("ij,ij->j", gv, exp_u)) + new_peak_u + peak_v
         del gv
         new_peak_u += 0.5 * gm * (log_mass_a - log_mass_b)  # the TI shift
-        gu = _apply(kernel, exp_u, adjoint=True)
+        gu = kernel_t @ exp_u
         del exp_u
         new_v, new_peak_v = _unit_peak(np.log(gu), log_b, phi)
         new_peak_v -= phi * new_peak_u
@@ -304,7 +300,7 @@ def compute_frame_marginals(
         # each frame's unit-peak v, as its last step formed it
         exp_v = np.exp(log_v)
     # log-domain marginals: only the per-frame peaks carry huge magnitudes
-    log_gv = np.log(_apply(kernel, exp_v))
+    log_gv = np.log(kernel @ exp_v)
     del exp_v
     log_u += peak_u
     log_v += peak_v

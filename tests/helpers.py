@@ -235,12 +235,6 @@ def transport_objective(marg, power, lam, params) -> float:
     )
 
 
-def _reference_apply(kernel, x, adjoint=False):
-    if hasattr(kernel, "apply"):
-        return kernel.apply_adjoint(x) if adjoint else kernel.apply(x)
-    return kernel.T @ x if adjoint else kernel @ x
-
-
 def _reference_peak_exp(log_x):
     peak = np.max(log_x, axis=0)
     scaled = log_x - peak
@@ -293,7 +287,7 @@ def reference_frame_marginals(power, variances, kernel, params, init=None):
     log_mass_b = np.log(np.sum(terms_b, axis=0)) + peak_b
     out = None
     for it in range(params.max_iter):
-        gv = _reference_apply(kernel, exp_v)
+        gv = kernel @ exp_v
         np.maximum(gv, tiny, out=gv)
         new_u = np.log(gv)
         np.subtract(log_a, new_u, out=new_u)
@@ -305,7 +299,7 @@ def reference_frame_marginals(power, variances, kernel, params, init=None):
         shift = 0.5 * gm * (log_mass_a - log_mass_b)
         new_u += shift
         new_peak_u += shift
-        gu = _reference_apply(kernel, exp_u, adjoint=True)
+        gu = kernel.T @ exp_u
         np.maximum(gu, tiny, out=gu)
         log_gu = np.log(gu)
         new_v = np.subtract(log_b, log_gu)
@@ -348,7 +342,7 @@ def reference_frame_marginals(power, variances, kernel, params, init=None):
         log_u, log_v, log_gu = out
         peak_u = np.max(log_u, axis=0)
         exp_v, peak_v = _reference_peak_exp(log_v)
-    row = np.log(np.maximum(_reference_apply(kernel, exp_v), tiny))
+    row = np.log(np.maximum(kernel @ exp_v, tiny))
     row += peak_v
     row += log_u
     log_gu += peak_u

@@ -7,6 +7,7 @@ the dense-plan objective for the transport marginals, and objective
 values recomputed with explicit loops inside the tests.
 """
 
+import copy
 import dataclasses
 import warnings
 
@@ -112,36 +113,38 @@ def _fixed_budget_runs(a, b, kernel, params, init, tols):
 
 
 class _Recording:
-    """A kernel that records the width of every product it makes."""
+    """A kernel that records the width of every product it makes.
+
+    Its ``.T`` records into the same list, so the list holds the products
+    of both half-steps in order.
+    """
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.widths = []
 
-    def _product(self, x, adjoint):
+    @property
+    def T(self):
+        transposed = copy.copy(self)  # shares the widths list
+        transposed.kernel = self.kernel.T
+        return transposed
+
+    def __matmul__(self, x):
         self.widths.append(x.shape[1])
-        if isinstance(self.kernel, FactorizedKernel):
-            return self.kernel.apply_adjoint(x) if adjoint else self.kernel.apply(x)
-        return self.kernel.T @ x if adjoint else self.kernel @ x
-
-    def apply(self, x):
-        return self._product(x, adjoint=False)
-
-    def apply_adjoint(self, x):
-        return self._product(x, adjoint=True)
+        return self.kernel @ x
 
 
 class _PoisonNarrowed(_Recording):
     """A recording kernel whose first product on a batch narrower than
-    ``n_frames`` is NaN in one column."""
+    ``n_frames`` is NaN in one column; its ``.T`` shares that state."""
 
     def __init__(self, kernel, n_frames, column):
         super().__init__(kernel)
         self.n_frames, self.column = n_frames, column
 
-    def _product(self, x, adjoint):
+    def __matmul__(self, x):
         first = x.shape[1] < self.n_frames and all(w == self.n_frames for w in self.widths)
-        y = super()._product(x, adjoint)
+        y = super().__matmul__(x)
         if first:
             y[:, self.column] = np.nan
         return y

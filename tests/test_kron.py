@@ -248,7 +248,7 @@ class TestKernelApply:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_materialized_kernel(self, dims, n_cols, seed):
-        # random, non-symmetric factors, so a missing transpose shows
+        # random, non-symmetric factors, so a missing or doubled transpose shows
         rng = np.random.default_rng(seed)
         k = FactorizedKernel(
             kernels=tuple(rng.uniform(-1.0, 1.0, (f, f)) for f in dims),
@@ -259,8 +259,10 @@ class TestKernelApply:
         m = rng.uniform(-1.0, 1.0, (k.n_bins, n_cols))
         tol = 1e-13 * np.abs(dense).sum(axis=1).max()
         for x in (m[:, 0], m):
-            assert np.max(np.abs(k.apply(x) - dense @ x)) <= tol
-            assert np.max(np.abs(k.apply_adjoint(x) - dense.T @ x)) <= tol
+            assert np.max(np.abs(k @ x - dense @ x)) <= tol
+            assert np.max(np.abs(k.T @ x - dense.T @ x)) <= tol
+            np.testing.assert_array_equal(k.T.T @ x, k @ x)
+            np.testing.assert_array_equal(k.apply_adjoint(x), k.T @ x)
 
     def test_kernel_matches_dense_gibbs_of_kron_sum(self):
         # the factored kernel must equal exp(-mu*C - 1) of the
