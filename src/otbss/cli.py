@@ -345,6 +345,8 @@ def _run_cell(plan: dict, configs: list, t60: float, trial: int) -> list:
 
 
 def cmd_benchmark(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     plan = _load_config(args.config, _PLAN_KEYS)
     if args.seed is not None:
         plan["seed"] = args.seed
@@ -363,11 +365,13 @@ def cmd_benchmark(args) -> int:
     configs = [_separation_config({**defaults, **plan, "method": m}) for m in plan["methods"]]
     cells = [(t60, trial) for t60 in plan["t60_grid"] for trial in range(plan["trials"])]
     rows = []
-    if args.jobs > 1:
+    # a forking pool starts all its workers at the first submit: no more than the cells
+    workers = min(args.jobs, len(cells))
+    if workers > 1:
         # imported here: it loads multiprocessing, which no other verb needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell, plan, configs, t60, trial) for t60, trial in cells]
             for future in futures:
                 rows.extend(future.result())
@@ -431,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("benchmark", help="sweep a T60 grid and collect improvements")
     bench.add_argument("--config", help="benchmark plan JSON")
     bench.add_argument("--out", required=True, help="output CSV path")
-    bench.add_argument("--jobs", type=int, default=1, help="concurrent benchmark cells")
+    bench.add_argument("--jobs", type=int, default=1, help="concurrent benchmark cells, at least 1")
     bench.add_argument("--seed", type=int, help="override the plan seed")
     bench.set_defaults(func=cmd_benchmark)
     return parser

@@ -107,15 +107,6 @@ def init_demixing(n_sources: int, n_bins: int) -> np.ndarray:
     return np.broadcast_to(eye, (n_bins, n_sources, n_sources)).copy()
 
 
-def _demix(demixing: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """y_{f,t} = D_f x_{f,t} for every frequency and frame, shape (F, N, T)."""
-    if demixing.ndim != 3 or demixing.shape[0] != data.shape[1] or demixing.shape[2] != data.shape[0]:
-        raise ValueError(
-            f"demixing shape {demixing.shape} does not match data shape {data.shape}"
-        )
-    return np.einsum("fnm,mft->fnt", demixing, data)
-
-
 def cross_planes(mixture) -> np.ndarray:
     """Re x_m conj(x_p) (m <= p), then Im x_m conj(x_p) (m < p), as real planes.
 
@@ -298,14 +289,14 @@ def _prepare(mixture: Spectrogram, cfg: SeparationConfig, n_sources):
     if n_src < n_chan:
         warnings.warn(f"keeping the first {n_src} of {n_chan} channels")
         data = data[:n_src]
-    # (C, F, T) in C order: the demixing product and the IP covariances
-    # run several times slower on the strided view that stft returns
-    data = np.ascontiguousarray(data)
+    # (F, C, T) in C order, the one copy: each bin's D_f @ x_f is then a
+    # batched matmul over the bins, like every (F, N, T) array of the loop
+    data = np.ascontiguousarray(data.transpose(1, 0, 2))
     if not 0 <= cfg.ref_mic < n_src:
         raise ValueError(f"ref_mic {cfg.ref_mic} out of range for {n_src} channels")
-    if data.shape[2] < 2:
+    n_bins, _, n_frames = data.shape
+    if n_frames < 2:
         raise ValueError("need at least two frames")
-    n_bins, n_frames = data.shape[1], data.shape[2]
     models = [
         init_nmf(n_bins, n_frames, cfg.n_basis, seed=cfg.seed + n) for n in range(n_src)
     ]
@@ -346,16 +337,16 @@ def separate(
     starts from the variance the loop already holds.
     """
     data, demixing, models = _prepare(mixture, cfg, n_sources)
-    _, n_bins, n_frames = data.shape
+    n_bins, _, n_frames = data.shape
     transport = cfg.method != "ilrma"
     kernel = _sd_kernel(n_bins, cfg) if transport else None
     cache = None
     trace = []
-    # power, variances and targets are (F, N, T), so the transport batch
-    # is their (F, N*T) view: column n*T + t is frame t of source n.
-    # D starts at the identity: the first demixed power is the mixture's
-    power = np.ascontiguousarray((data.real**2 + data.imag**2).transpose(1, 0, 2))
-    planes = cross_planes(data)  # every IP sweep weights these same planes
+    # the mixture, power, variances and targets are (F, N, T), so the
+    # transport batch is their (F, N*T) view: column n*T + t is frame t of
+    # source n. D starts at the identity: the first power is the mixture's
+    power = data.real**2 + data.imag**2
+    planes = cross_planes(data.transpose(1, 0, 2))  # every IP sweep weights these same planes
     lam = np.stack([variance(m) for m in models], axis=1)
     for it in range(cfg.outer_iters):
         if transport:
@@ -373,7 +364,7 @@ def separate(
             target = power
         models = [is_update(m, target[:, n], lam[:, n]) for n, m in enumerate(models)]
         demixing = ip_update(demixing, planes, np.stack([variance(m) for m in models], axis=1))
-        y = _demix(demixing, data)
+        y = demixing @ data
         power = y.real**2 + y.imag**2
         del y, target  # held over to the next iteration, they raise peak RSS
         source_power = power.mean(axis=(0, 2))
@@ -387,7 +378,7 @@ def separate(
             objective = ilrma_objective(power, lam, logdet)
         trace.append(IterationRecord(it + 1, objective, tuple(source_power.tolist())))
     del planes  # the images below would otherwise peak on top of them
-    estimates = _demix(demixing, data).transpose(1, 0, 2)
+    estimates = (demixing @ data).transpose(1, 0, 2)
     images = back_project(estimates, demixing, cfg.ref_mic)
     return SeparationResult(
         estimates=replace(mixture, data=estimates),

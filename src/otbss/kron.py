@@ -125,7 +125,7 @@ class FactorizedKernel:
         return int(np.prod(self.dims))
 
     @property
-    def T(self) -> "FactorizedKernel":
+    def T(self) -> FactorizedKernel:
         return FactorizedKernel(tuple(g.T for g in self.kernels), self.dims, self.scale)
 
     def apply(self, x: np.ndarray) -> np.ndarray:

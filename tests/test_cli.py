@@ -351,6 +351,45 @@ class TestBenchmark:
             assert main(["benchmark", "--config", plan, "--out", str(again), "--jobs", jobs]) == EXIT_OK
             assert strip(again) == strip(out), f"--jobs {jobs}"
 
+    def test_pool_never_larger_than_the_cells(self, tmp_path, monkeypatch):
+        # an inline stand-in for the pool records its size and starts no process
+        import concurrent.futures
+
+        sizes, cells = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_run_cell", lambda plan, configs, t60, trial: cells.append((t60, trial)) or [])
+        plan = _write_json(tmp_path / "plan.json", {"schema": 1, "t60_grid": [0.0], "trials": 2, "methods": ["ilrma"]})
+        assert main(["benchmark", "--config", plan, "--out", str(tmp_path / "b.csv"), "--jobs", "16"]) == EXIT_OK
+        assert sizes == [2]
+        assert cells == [(0.0, 0), (0.0, 1)]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_starts_no_cell(self, tmp_path, monkeypatch, capsys, jobs):
+        cells = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: cells.append(args) or [])
+        plan = _write_json(tmp_path / "plan.json", {"schema": 1, "t60_grid": [0.0], "trials": 2, "methods": ["ilrma"]})
+        code = main(["benchmark", "--config", plan, "--out", str(tmp_path / "b.csv"), "--jobs", jobs])
+        assert code == EXIT_CONFIG
+        assert not cells
+        assert not (tmp_path / "b.csv").exists()
+        assert "--jobs" in capsys.readouterr().err
+
     def test_failed_method_leaves_the_others_scored_in_one_call(self, monkeypatch):
         separate, score = cli.separate, cli.sdr_sir_sets
         calls = []

@@ -380,7 +380,7 @@ class TestConvolveMix:
 
     def test_linearity_in_each_source(self):
         fs = 16000
-        scene = make_scene_sisec(t60=0.1, angle1=10.0, angle2=-10.0)
+        scene = make_scene_sisec(t60=0.3, angle1=10.0, angle2=-10.0)
         rir = image_source_rir(scene)
         rng = np.random.default_rng(2)
         a = TimeSignal(rng.standard_normal((1, 2000)), fs)
