@@ -32,15 +32,7 @@ from .errors import (
     WavFormatError,
 )
 from .metrics import improvement, sdr_sir, sdr_sir_sets
-from .roomsim import (
-    MIC_SPACING,
-    SISEC_ROOM,
-    SOURCE_DISTANCE,
-    convolve_mix,
-    image_source_rir,
-    make_scene_sisec,
-    synth_speech,
-)
+from .roomsim import convolve_mix, image_source_rir, make_scene_sisec, synth_speech
 from .sinkhorn import SinkhornParams
 
 log = logging.getLogger("otbss")
@@ -105,24 +97,11 @@ def _load_config(path, known: dict) -> dict:
         if key in data:
             try:
                 out[key] = convert(data[key])
-            except (ConfigError, TypeError) as err:  # TypeError: a non-numeric geometry
+            except ConfigError as err:
                 raise ConfigError(f"{path}: key {key!r}: {err}") from err
         else:
             out[key] = default
     return out
-
-
-def _geometry_value(expected, name):
-    def check(value):
-        got = np.asarray(value, dtype=np.float64).ravel()
-        want = np.asarray(expected, dtype=np.float64).ravel()
-        if got.shape != want.shape or not np.allclose(got, want, atol=1e-9):
-            raise ConfigError(
-                f"only the benchmark scenario is supported ({name} = {expected})"
-            )
-        return value
-
-    return check
 
 
 _SCENE_KEYS = {
@@ -132,9 +111,6 @@ _SCENE_KEYS = {
     "duration": (3.0, _float_value),
     "sample_rate": (16000, _int_value),
     "seed": (0, _int_value),
-    "room": (list(SISEC_ROOM), _geometry_value(list(SISEC_ROOM), "room")),
-    "spacing": (MIC_SPACING, _geometry_value(MIC_SPACING, "spacing")),
-    "distance": (SOURCE_DISTANCE, _geometry_value(SOURCE_DISTANCE, "distance")),
 }
 
 # the keys ``separate`` and ``benchmark`` share, with the library defaults

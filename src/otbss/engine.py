@@ -279,7 +279,9 @@ def back_project(estimates, demixing: np.ndarray, ref_mic: int):
 
 
 def _prepare(mixture: Spectrogram, cfg: SeparationConfig, n_sources):
-    data = _as_data(mixture)
+    if not isinstance(mixture, Spectrogram):  # the results copy its STFT metadata
+        raise TypeError(f"separate() takes a Spectrogram, got {type(mixture).__name__}")
+    data = mixture.data
     n_chan = data.shape[0]
     n_src = n_chan if n_sources is None else int(n_sources)
     if n_src < 1:

@@ -17,10 +17,6 @@ class FactorizationError(ValueError):
     """Raised when a bin count cannot be split into the requested number of factors."""
 
 
-class CapabilityError(RuntimeError):
-    """Raised when a request needs a dense object too large to materialize."""
-
-
 class DemixingNumericError(RuntimeError):
     """Raised when an iterative-projection solve stays singular after regularization.
 

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, FactorizationError
+from .errors import FactorizationError
 from .sinkhorn import floor_underflow
-
-MATERIALIZE_MAX_BINS = 1024
 
 
 def _prime_factors(n: int) -> list:
@@ -154,11 +152,7 @@ class FactorizedKernel:
         return int(self.n_bins * sum(self.dims))
 
     def materialize(self) -> np.ndarray:
-        """Dense e^(-1) * (G_1 x ... x G_Q), up to MATERIALIZE_MAX_BINS bins."""
-        if self.n_bins > MATERIALIZE_MAX_BINS:
-            raise CapabilityError(
-                f"refusing to materialize a {self.n_bins}x{self.n_bins} kernel"
-            )
+        """Dense F x F e^(-1) * (G_1 x ... x G_Q), the kernel the factors stand for."""
         dense = np.ones((1, 1))
         for g in self.kernels:
             dense = np.kron(dense, g)

@@ -13,8 +13,7 @@ from scipy.linalg import toeplitz
 from scipy.signal import get_window
 from scipy.special import logsumexp, xlogy
 
-from otbss.errors import CapabilityError, SinkhornNumericError
-from otbss.kron import MATERIALIZE_MAX_BINS
+from otbss.errors import SinkhornNumericError
 from otbss.metrics import _db
 from otbss.nmf import EPS
 from otbss.roomsim import (
@@ -128,10 +127,6 @@ def materialize_kron_sum(cost) -> np.ndarray:
     blocks in Kronecker position, not identities): that is the sum the
     entrywise exponential turns into a Kronecker product of kernels.
     """
-    if cost.n_bins > MATERIALIZE_MAX_BINS:
-        raise CapabilityError(
-            f"refusing to materialize a {cost.n_bins}x{cost.n_bins} Kronecker sum"
-        )
     total = np.zeros((cost.n_bins, cost.n_bins))
     for q, factor in enumerate(cost.factors):
         term = np.ones((1, 1))

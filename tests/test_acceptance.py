@@ -125,7 +125,7 @@ def test_03_model_fit_never_degrades():
         model = init_nmf(8, 8, 2, seed=trial)
         fit = is_divergence(power, variance(model))
         for _ in range(3):
-            model = is_update(model, power)
+            model = is_update(model, power, variance(model))
             nxt = is_divergence(power, variance(model))
             worst_slack = max(worst_slack, nxt - fit)
             fit = nxt

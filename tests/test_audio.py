@@ -9,7 +9,7 @@ scipy's ``get_window``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_istft
@@ -24,6 +24,13 @@ from otbss.audio import (
     write_wav,
 )
 from otbss.errors import UnsupportedWavError, WavFormatError
+
+
+@st.composite
+def _window_and_hop(draw):
+    """A power-of-two window_len in [2, 2**14] and any hop in [1, window_len]."""
+    window_len = 2 ** draw(st.integers(1, 14))
+    return window_len, draw(st.integers(1, window_len))
 
 
 def _tone(freq, fs, n, channels=1, seed=0):
@@ -115,10 +122,29 @@ class TestStftConfig:
         with pytest.raises(ValueError):
             StftConfig(window_len=1024, hop=2048)
 
-    def test_rejects_non_cola_pair(self):
-        # hop == window_len leaves gaps in the Hann overlap-add
-        with pytest.raises(ValueError):
-            StftConfig(window_len=512, hop=512)
+    @pytest.mark.parametrize("window_len, hop", [(512, 512), (2048, 3), (2048, 5), (4096, 6)])
+    def test_rejects_non_cola_pair(self, window_len, hop):
+        # hop == window_len leaves gaps in the Hann overlap-add; a hop that
+        # does not divide the window leaves istft no equal segments, even
+        # where the overlap-added window is flat to rounding (3 and 5 at 2048)
+        with pytest.raises(ValueError, match=f"hop {hop} .*window_len {window_len}"):
+            StftConfig(window_len=window_len, hop=hop)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair=_window_and_hop(), seed=st.integers(0, 2**32 - 1))
+    @example(pair=(2048, 3), seed=0)
+    def test_accepts_exactly_the_hops_that_split_the_window(self, pair, seed):
+        window_len, hop = pair
+        splits = hop < window_len and window_len % hop == 0
+        if not splits:
+            with pytest.raises(ValueError):
+                StftConfig(window_len=window_len, hop=hop)
+            return
+        cfg = StftConfig(window_len=window_len, hop=hop)
+        if window_len <= 256:
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((1, int(rng.integers(1, 300))))
+            np.testing.assert_allclose(istft(stft(TimeSignal(x, 16000), cfg)).samples, x, rtol=0, atol=1e-12)
 
     def test_cola_sum_is_two_at_half_overlap(self):
         # periodic Hann with hop = L/2 tiles to exactly 1.0;

@@ -1108,3 +1108,17 @@ class TestSeparateDispatch:
         )
         with pytest.raises(ValueError, match="two frames"):
             separate(short, SeparationConfig(method="ilrma"))
+
+    def test_plain_array_rejected_before_any_sweep(self, monkeypatch):
+        # the results carry the mixture's STFT metadata, which an array lacks
+        mixture, _, _ = _speech_scene(duration=0.3)
+        calls = []
+
+        def counted(demixing, planes, variances):
+            calls.append(1)
+            return ip_update(demixing, planes, variances)
+
+        monkeypatch.setattr(engine, "ip_update", counted)
+        with pytest.raises(TypeError, match="Spectrogram"):
+            separate(mixture.data, SeparationConfig(method="ilrma", outer_iters=2))
+        assert calls == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import materialize_kron_sum
-from otbss.errors import CapabilityError, FactorizationError
+from otbss.errors import FactorizationError
 from otbss.kron import (
     FactorizedKernel,
     KroneckerCost,
@@ -122,10 +122,6 @@ class TestMaterializeKronSum:
         lhs = np.exp(-mu * dense)
         rhs = np.kron(np.exp(-mu * cost.factors[0]), np.exp(-mu * cost.factors[1]))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
-
-    def test_large_f_rejected(self):
-        with pytest.raises(CapabilityError):
-            materialize_kron_sum(kron_sum_cost((64, 64)))
 
 
 def _plain_kernel(*factors):

@@ -101,7 +101,7 @@ class TestIsUpdate:
     def test_fixed_point_when_power_equals_variance(self):
         m = init_nmf(6, 8, 2, seed=4)
         lam = variance(m)
-        m2 = is_update(m, lam)
+        m2 = is_update(m, lam, variance(m))
         np.testing.assert_allclose(m2.basis, m.basis, rtol=1e-12)
         np.testing.assert_allclose(m2.activation, m.activation, rtol=1e-12)
 
@@ -111,7 +111,7 @@ class TestIsUpdate:
             p = rng.uniform(0.01, 4.0, (8, 8))
             m = init_nmf(8, 8, 2, seed=trial)
             before = is_divergence(p, variance(m))
-            m = is_update(m, p)
+            m = is_update(m, p, variance(m))
             after = is_divergence(p, variance(m))
             assert after <= before + 1e-10
 
@@ -121,7 +121,7 @@ class TestIsUpdate:
         m = init_nmf(12, 16, 3, seed=0)
         prev = is_divergence(p, variance(m))
         for _ in range(50):
-            m = is_update(m, p)
+            m = is_update(m, p, variance(m))
             cur = is_divergence(p, variance(m))
             assert cur <= prev + 1e-10
             prev = cur
@@ -130,27 +130,28 @@ class TestIsUpdate:
         p = np.full((5, 5), 1e-18)
         m = init_nmf(5, 5, 2, seed=7)
         for _ in range(5):
-            m = is_update(m, p)
+            m = is_update(m, p, variance(m))
         assert np.all(m.basis >= EPS)
         assert np.all(m.activation >= EPS)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            is_update(init_nmf(5, 6, 2), np.ones((6, 5)))
+            m = init_nmf(5, 6, 2)
+            is_update(m, np.ones((6, 5)), variance(m))
         with pytest.raises(ValueError, match="lam"):
             is_update(init_nmf(5, 6, 2), np.ones((5, 6)), np.ones((6, 5)))
 
     def test_passed_variance_gives_the_same_bits(self):
         # the variances as a caller holds them, strided (F, T) slices of one
-        # (F, N, T) array; the last model's product sits below EPS
-        # everywhere, so it is floored
+        # (F, N, T) array, against each model's own contiguous variance; the
+        # last model's product sits below EPS everywhere, so it is floored
         rng = np.random.default_rng(10)
         models = [init_nmf(9, 11, 3, seed=s) for s in (1, 2)]
         models.append(NmfModel(np.zeros((9, 3)), np.zeros((3, 11))))
         lam = np.stack([variance(m) for m in models], axis=1)
         for m, v in zip(models, lam.transpose(1, 0, 2)):
             p = rng.uniform(0.01, 4.0, (9, 11))
-            got, want = is_update(m, p, v), is_update(m, p)
+            got, want = is_update(m, p, v), is_update(m, p, variance(m))
             np.testing.assert_array_equal(got.basis, want.basis)
             np.testing.assert_array_equal(got.activation, want.activation)
 
@@ -158,6 +159,6 @@ class TestIsUpdate:
         m = init_nmf(6, 6, 2, seed=8)
         w0 = m.basis.copy()
         rng = np.random.default_rng(9)
-        is_update(m, rng.uniform(0.5, 2, (6, 6)))
+        is_update(m, rng.uniform(0.5, 2, (6, 6)), variance(m))
         np.testing.assert_array_equal(m.basis, w0)
 
